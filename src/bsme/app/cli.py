@@ -1,8 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 on success or acceptance, 1 when a session ends in reject or
-abort, 2 on usage errors including infeasible parameter requests, 3 when an
-attack or lemma check lands outside its bound.
+Exit codes: 0 on success or acceptance; 1 when a session ends in reject or
+abort; 2 on usage errors, including parameters that ``derive_commit_params``
+or ``derive_ot_params`` refuse; 3 when ``feasibility`` finds the point
+infeasible for commitment, or an attack, lemma or self-test check misses its
+bound.
 """
 
 from __future__ import annotations
@@ -362,29 +364,35 @@ def cmd_attack(args) -> int:
         reports.append(ot_offbranch_distance(LinearCode.repetition(3), out_len=1))
     if which in ("theta", "all"):
         reports.append(ih_theta_attack(m=12, t=6, trials=args.trials, seed=args.seed))
-    for rep in reports:
-        print(rep.line())
-    if args.json:
-        print(json.dumps([rep.line() for rep in reports]))
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_BOUND
+    ok = all(r.passed for r in reports)
+    payload = {"checks": [_report_dict(r) for r in reports], "passed": ok}
+    _emit(args, payload, [r.line() for r in reports])
+    return EXIT_OK if ok else EXIT_BOUND
+
+
+def _report_dict(rep) -> dict:
+    return {**asdict(rep), "passed": rep.passed}
 
 
 def cmd_lemmas(args) -> int:
-    ok = True
-    rep = lemma_birthday(n=2048, ell=16, trials=args.trials, seed=args.seed)
-    print(rep.line())
-    ok &= rep.passed
-    rep = lemma_subset_hd(n=4096, r=256, delta=0.05, nu=0.1,
-                          trials=args.trials, seed=args.seed)
-    print(rep.line())
-    ok &= rep.passed
+    reports = [
+        lemma_birthday(n=2048, ell=16, trials=args.trials, seed=args.seed),
+        lemma_subset_hd(n=4096, r=256, delta=0.05, nu=0.1,
+                        trials=args.trials, seed=args.seed),
+    ]
+    checks = [_report_dict(r) for r in reports]
+    lines = [r.line() for r in reports]
     held, worst = lemma_binom_bound()
-    print(f"attack=lemma-binom worst_ratio={worst:.6g} pass={held}")
-    ok &= held
+    checks.append({"name": "lemma-binom", "worst_ratio": worst, "passed": held})
+    lines.append(f"attack=lemma-binom worst_ratio={worst:.6g} pass={held}")
     h_min, lower = lemma_entropy_hd(n=8, alpha=0.75, delta=0.125, seed=args.seed)
     entropy_ok = h_min >= lower - 1e-9
-    print(f"attack=lemma-entropy-hd h_min={h_min:.6g} lower={lower:.6g} pass={entropy_ok}")
-    ok &= entropy_ok
+    checks.append({"name": "lemma-entropy-hd", "h_min": h_min, "lower": lower,
+                   "passed": entropy_ok})
+    lines.append(f"attack=lemma-entropy-hd h_min={h_min:.6g} lower={lower:.6g} "
+                 f"pass={entropy_ok}")
+    ok = all(c["passed"] for c in checks)
+    _emit(args, {"checks": checks, "passed": ok}, lines)
     return EXIT_OK if ok else EXIT_BOUND
 
 
@@ -406,10 +414,11 @@ def cmd_selftest(args) -> int:
     rep = binding_attack(k=12, digest_len=12, sigma=1 / 12, trials=60, seed=args.seed)
     checks.append(("binding-bound", rep.passed))
 
-    ok = True
-    for name, passed in checks:
-        print(f"{'PASS' if passed else 'FAIL'} {name}")
-        ok &= passed
+    ok = all(passed for _, passed in checks)
+    lines = [f"{'PASS' if passed else 'FAIL'} {name}" for name, passed in checks]
+    payload = {"checks": [{"name": name, "passed": passed} for name, passed in checks],
+               "passed": ok}
+    _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_BOUND
 
 

@@ -54,8 +54,6 @@ class VerifyResult:
 
 
 class _Phased:
-    _ORDER = ("new", "transmitted", "committed", "opened")
-
     def __init__(self):
         self._phase = "new"
 

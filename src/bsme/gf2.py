@@ -32,8 +32,12 @@ class Echelon:
         r = self.reduce(v)
         if r == 0:
             return False
-        self.rows[r.bit_length() - 1] = r
+        self.insert(r)
         return True
+
+    def insert(self, r: int) -> None:
+        """Insert a nonzero row already reduced against the basis."""
+        self.rows[r.bit_length() - 1] = r
 
     @property
     def rank(self) -> int:
@@ -80,7 +84,9 @@ def solve_affine_pair(queries: list[int], responses: list[int], n: int) -> tuple
     """Both solutions of ``<q_i, x> = c_i`` for n-1 independent queries.
 
     Raises ValueError unless the queries are linearly independent, in which
-    case the solution set has exactly two elements (returned unordered).
+    case the solution set has exactly two elements: the first has the one
+    free coordinate at 0, the second at 1.  Queries already in echelon form,
+    passed in ascending pivot order, insert without any reduction step.
     """
     if len(queries) != n - 1 or len(responses) != n - 1:
         raise ValueError("need exactly n-1 query/response pairs")
@@ -99,15 +105,12 @@ def solve_affine_pair(queries: list[int], responses: list[int], n: int) -> tuple
             aug ^= row
         else:
             raise ValueError("queries are linearly dependent")
-    # Back-eliminate into reduced form.
-    for p in sorted(rows, reverse=True):
-        for q in list(rows):
-            if q != p and (rows[q] >> (p + 1)) & 1:
-                rows[q] ^= rows[p]
+    # Forward substitution in ascending pivot order: below its pivot a row
+    # touches only coordinates already fixed (lower pivots or the free one).
     free = next(i for i in range(n) if i not in rows)
-    x0 = 0
-    kernel = 1 << free
-    for p, aug in rows.items():
-        x0 |= (aug & 1) << p
-        kernel |= ((aug >> (free + 1)) & 1) << p
-    return x0, x0 ^ kernel
+    x0, x1 = 0, 1 << free
+    for p in sorted(rows):
+        q, c = rows[p] >> 1, rows[p] & 1
+        x0 |= (((q & x0).bit_count() ^ c) & 1) << p
+        x1 |= (((q & x1).bit_count() ^ c) & 1) << p
+    return x0, x1

@@ -290,7 +290,6 @@ def ot_offbranch_distance(
         for x in group:
             xs = BitString(ell, x)
             p = 0
-            shift = 0
             for i, row in enumerate(code.rows):
                 p |= ((row & x).bit_count() & 1) << i
             p_class_tot[p] = p_class_tot.get(p, 0.0) + w

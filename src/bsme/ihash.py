@@ -52,8 +52,22 @@ def solve_pair(queries: list[int], responses: list[int], m: int) -> tuple[BitStr
     return (sa, sb) if sa.lex_key() < sb.lex_key() else (sb, sa)
 
 
+def _solve_rows(ech: gf2.Echelon, m: int) -> tuple[BitString, BitString]:
+    """Solve from a basis of augmented rows ``(query << 1) | response``.
+
+    The rows go in ascending pivot order, so each enters the solver's own
+    basis without a reduction step.
+    """
+    rows = [row for _, row in sorted(ech.rows.items())]
+    return solve_pair([r >> 1 for r in rows], [r & 1 for r in rows], m)
+
+
 class Querier:
-    """Query side of interactive hashing (sends m-1 independent queries)."""
+    """Query side of interactive hashing (sends m-1 independent queries).
+
+    Its basis holds each query reduced against the earlier ones, shifted up
+    one bit, with the matching combination of responses in bit 0.
+    """
 
     def __init__(self, m: int, rng: random.Random):
         if m < 2:
@@ -61,49 +75,50 @@ class Querier:
         self.m = m
         self._rng = rng
         self._ech = gf2.Echelon()
-        self._queries: list[int] = []
-        self._responses: list[int] = []
-        self._awaiting = False
+        self._pending: int | None = None  # reduced row awaiting its response
 
     @property
     def rounds_done(self) -> int:
-        return len(self._responses)
+        return self._ech.rank
 
     @property
     def finished(self) -> bool:
-        return len(self._responses) == self.m - 1
+        return self._ech.rank == self.m - 1
 
     def next_query(self) -> BitString:
-        if self._awaiting:
+        if self._pending is not None:
             raise ProtocolStateError("previous response still pending")
         if self.finished:
             raise ProtocolStateError("all rounds are complete")
         while True:
             candidate = self._rng.getrandbits(self.m)
-            if self._ech.reduce(candidate):
+            r = self._ech.reduce(candidate << 1)
+            if r >> 1:
                 break
-        self._ech.add(candidate)
-        self._queries.append(candidate)
-        self._awaiting = True
+        self._pending = r
         return BitString(self.m, candidate)
 
     def take_response(self, bit: int) -> None:
-        if not self._awaiting:
+        if self._pending is None:
             raise ProtocolStateError("no query is pending")
         if bit not in (0, 1):
             raise ValueError("response must be a bit")
-        self._responses.append(bit)
-        self._awaiting = False
+        # bit 0 already holds the responses of the rows the query was reduced by
+        self._ech.insert(self._pending ^ bit)
+        self._pending = None
 
     def outcome(self) -> IHOutcome:
         if not self.finished:
             raise ProtocolStateError("rounds still remaining")
-        w0, w1 = solve_pair(self._queries, self._responses, self.m)
+        w0, w1 = _solve_rows(self._ech, self.m)
         return IHOutcome(w0, w1)
 
 
 class Respondent:
-    """Response side: holds the input W, validates query independence."""
+    """Response side: holds the input W, validates query independence.
+
+    Its basis holds augmented rows like the querier's.
+    """
 
     def __init__(self, m: int, w: BitString):
         if m < 2:
@@ -113,12 +128,10 @@ class Respondent:
         self.m = m
         self._w = w.to_int()
         self._ech = gf2.Echelon()
-        self._queries: list[int] = []
-        self._responses: list[int] = []
 
     @property
     def finished(self) -> bool:
-        return len(self._responses) == self.m - 1
+        return self._ech.rank == self.m - 1
 
     def respond(self, query: BitString) -> int:
         if self.finished:
@@ -126,17 +139,17 @@ class Respondent:
         if query.length != self.m:
             raise ValueError("query length mismatch")
         q = query.to_int()
-        if not self._ech.add(q):
-            raise DependentQueryError("query depends on earlier queries")
         bit = (q & self._w).bit_count() & 1
-        self._queries.append(q)
-        self._responses.append(bit)
+        r = self._ech.reduce((q << 1) | bit)
+        if not r >> 1:
+            raise DependentQueryError("query depends on earlier queries")
+        self._ech.insert(r)
         return bit
 
     def outcome(self) -> IHOutcome:
         if not self.finished:
             raise ProtocolStateError("rounds still remaining")
-        w0, w1 = solve_pair(self._queries, self._responses, self.m)
+        w0, w1 = _solve_rows(self._ech, self.m)
         d = 0 if w0.to_int() == self._w else 1
         if (self._w == w0.to_int()) == (self._w == w1.to_int()):
             raise AssertionError("input must match exactly one output")

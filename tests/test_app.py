@@ -344,3 +344,23 @@ class TestCLI:
         assert cli.main(["selftest"]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert out.count("PASS") >= 4
+
+    def test_underivable_parameters_exit_usage(self, capsys):
+        # gamma=0.9 leaves the source no entropy to beat: derive_commit_params refuses
+        assert cli.main(["commit", "--n", "64", "--ell", "8", "--gamma", "0.9",
+                         "--value", "1"]) == cli.EXIT_USAGE
+        assert "infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--trials", "40"],
+        ["lemmas", "--trials", "40"],
+        ["selftest"],
+    ])
+    def test_json_is_one_object(self, capsys, argv):
+        import json
+        assert cli.main(argv + ["--json"]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is True
+        assert len(doc["checks"]) >= 4
+        for check in doc["checks"]:
+            assert check["name"] and check["passed"] is True

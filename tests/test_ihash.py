@@ -24,6 +24,29 @@ def run_session(m: int, w: BitString, rng: random.Random):
     return q.outcome(), r.outcome()
 
 
+def recorded_session(m: int, w: BitString, rng: random.Random):
+    """Both parties after m-1 rounds, plus the raw queries and responses sent."""
+    q = Querier(m, rng)
+    r = Respondent(m, w)
+    queries, responses = [], []
+    while not q.finished:
+        query = q.next_query()
+        bit = r.respond(query)
+        q.take_response(bit)
+        queries.append(query.to_int())
+        responses.append(bit)
+    return q, r, queries, responses
+
+
+def brute_force_pair(m: int, queries: list[int], responses: list[int]) -> list[int]:
+    """Every solution of the transcript, in lexicographic order."""
+    return sorted(
+        (v for v in range(1 << m)
+         if all((q & v).bit_count() & 1 == c for q, c in zip(queries, responses))),
+        key=lambda v: BitString(m, v).lex_key(),
+    )
+
+
 class TestSolvePair:
     def test_orders_lexicographically(self):
         # transcript q=0b01 (bit0 only), response 1 over m=2:
@@ -38,18 +61,10 @@ class TestSolvePair:
         for m in range(2, 7):
             for _ in range(10):
                 w = BitString.random(m, rng)
-                q = Querier(m, rng)
-                r = Respondent(m, w)
-                while not q.finished:
-                    q.take_response(r.respond(q.next_query()))
+                q, _, queries, responses = recorded_session(m, w, rng)
                 got = q.outcome()
-                brute = sorted(
-                    (v for v in range(1 << m)
-                     if all((qq & v).bit_count() & 1 == rr
-                            for qq, rr in zip(q._queries, q._responses))),
-                    key=lambda v: BitString(m, v).lex_key(),
-                )
-                assert [got.w0.to_int(), got.w1.to_int()] == brute
+                assert [got.w0.to_int(), got.w1.to_int()] == brute_force_pair(
+                    m, queries, responses)
 
     def test_dependent_transcript_rejected(self):
         # third query is the xor of the first two
@@ -156,12 +171,70 @@ class TestHiding:
         for _ in range(20):
             m = 6
             w = BitString.random(m, rng)
-            q = Querier(m, rng)
-            r = Respondent(m, w)
-            while not q.finished:
-                q.take_response(r.respond(q.next_query()))
+            _, r, queries, responses = recorded_session(m, w, rng)
             out = r.outcome()
             other = out.pair[1 - out.d]
             replay = Respondent(m, other)
-            for qq, rr in zip(q._queries, q._responses):
+            for qq, rr in zip(queries, responses):
                 assert replay.respond(BitString(m, qq)) == rr
+
+
+class TestReducedRowsSolve:
+    """Both parties solve from the reduced rows their rounds built; the pair
+    must be the one the raw transcript determines."""
+
+    @given(st.integers(2, 10), st.data())
+    def test_outcomes_match_brute_force(self, m, data):
+        rng = random.Random(data.draw(st.integers(0, 2**24)))
+        w = BitString(m, data.draw(st.integers(0, 2**m - 1)))
+        q, r, queries, responses = recorded_session(m, w, rng)
+        brute = brute_force_pair(m, queries, responses)
+        qo, ro = q.outcome(), r.outcome()
+        assert [qo.w0.to_int(), qo.w1.to_int()] == brute
+        assert ro.pair == qo.pair
+        assert ro.pair[ro.d] == w
+
+    def test_m252_matches_raw_transcript_solve(self):
+        m = 252
+        for seed in range(40):
+            rng = random.Random(seed)
+            w = BitString.random(m, rng)
+            q, r, queries, responses = recorded_session(m, w, rng)
+            a, b = solve_affine_pair(queries, responses, m)
+            expect = tuple(sorted((BitString(m, a), BitString(m, b)), key=BitString.lex_key))
+            assert q.outcome().pair == expect
+            assert r.outcome().pair == expect
+            assert q.rounds_done == m - 1
+
+    def test_query_order_does_not_change_pair(self):
+        rng = random.Random(11)
+        for m in (3, 8, 40):
+            w = BitString.random(m, rng)
+            _, _, queries, responses = recorded_session(m, w, rng)
+            want = set(solve_affine_pair(queries, responses, m))
+            for _ in range(5):
+                order = list(range(m - 1))
+                rng.shuffle(order)
+                got = solve_affine_pair([queries[i] for i in order],
+                                        [responses[i] for i in order], m)
+                assert set(got) == want
+                assert w.to_int() in got
+
+    def test_dependent_combination_rejected_mid_session(self):
+        rng = random.Random(4)
+        m = 16
+        w = BitString.random(m, rng)
+        q = Querier(m, rng)
+        r = Respondent(m, w)
+        sent = []
+        for _ in range(6):
+            query = q.next_query()
+            q.take_response(r.respond(query))
+            sent.append(query.to_int())
+        combo = sent[0] ^ sent[2] ^ sent[5]
+        with pytest.raises(DependentQueryError):
+            r.respond(BitString(m, combo))
+        # the refused query left the respondent's state untouched
+        while not q.finished:
+            q.take_response(r.respond(q.next_query()))
+        assert r.outcome().pair == q.outcome().pair

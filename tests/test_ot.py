@@ -58,7 +58,7 @@ class TestHonest:
     def test_round_count_matches_encoding_length(self):
         assert PARAMS.m == 2 * PARAMS.ell * math.ceil(math.log2(PARAMS.k))
         got, _, sender, _, _ = run_session(PARAMS, 3, 0)
-        assert len(sender.querier._queries) == PARAMS.m - 1
+        assert sender.querier.rounds_done == PARAMS.m - 1
 
     def test_noise_free_code(self):
         got, secrets, _, _, _ = run_session(CLEAN, 5, 1, noisy=False)
