@@ -15,7 +15,6 @@ from .framing import read_frame
 
 __all__ = [
     "ChannelClosed",
-    "Transcript",
     "MemoryChannel",
     "memory_pair",
     "StreamChannel",
@@ -26,15 +25,13 @@ __all__ = [
 
 RECV_TIMEOUT = 30.0
 
-Transcript = list  # of (label, bytes) pairs
-
 
 class ChannelClosed(ConnectionError):
     pass
 
 
 class _Recorder:
-    def __init__(self, label: str, transcript: Transcript | None, lock: threading.Lock):
+    def __init__(self, label: str, transcript: list | None, lock: threading.Lock):
         self.label = label
         self._transcript = transcript
         self._lock = lock
@@ -54,7 +51,7 @@ class MemoryChannel(_Recorder):
         inbox: queue.Queue,
         outbox: queue.Queue,
         label: str,
-        transcript: Transcript | None,
+        transcript: list | None,
         lock: threading.Lock,
     ):
         super().__init__(label, transcript, lock)
@@ -80,7 +77,7 @@ class MemoryChannel(_Recorder):
         self._outbox.put(b"")
 
 
-def memory_pair(transcript: Transcript | None = None) -> tuple[MemoryChannel, MemoryChannel]:
+def memory_pair(transcript: list | None = None) -> tuple[MemoryChannel, MemoryChannel]:
     lock = threading.Lock()
     ab: queue.Queue = queue.Queue()
     ba: queue.Queue = queue.Queue()
@@ -96,7 +93,7 @@ class StreamChannel(_Recorder):
         self,
         sock: socket.socket,
         label: str,
-        transcript: Transcript | None = None,
+        transcript: list | None = None,
         lock: threading.Lock | None = None,
     ):
         super().__init__(label, transcript, lock or threading.Lock())
@@ -136,7 +133,7 @@ class StreamChannel(_Recorder):
 
 
 def socketpair_channels(
-    transcript: Transcript | None = None,
+    transcript: list | None = None,
 ) -> tuple[StreamChannel, StreamChannel]:
     lock = threading.Lock()
     sa, sb = socket.socketpair()

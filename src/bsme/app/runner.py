@@ -3,9 +3,17 @@
 Randomness is compartmentalized per role: each party draws from
 random.Random(f"{seed}:{role}"), the broadcast source from
 random.Random(f"{seed}:source"), and default inputs from
-random.Random(f"{seed}:input").  Two runs with the same seed therefore
-produce byte-identical transcripts on either transport, and the two halves
-of a cross-host session regenerate the same broadcast locally.
+random.Random(f"{seed}:input") in a fixed order: the commitment value; for a
+transfer, the choice bit (drawn even when a choice is given) and then s0 and
+s1.  Two runs with the same seed therefore produce byte-identical transcripts
+on either transport, and the two halves of a cross-host session regenerate
+the same broadcast and the same default inputs locally.
+
+Each party's message order is written once, as straight-line code.  A frame
+that does not parse, a frame of the wrong type, a peer's abort, or a check of
+the party's own that refuses the peer's data ends the party in one place,
+``_play``: it sends the party's closing frame (if any), reads until the peer
+closes, and reports the reason.
 """
 
 from __future__ import annotations
@@ -54,9 +62,8 @@ def role_rng(seed: int, role: str) -> random.Random:
     return random.Random(f"{seed}:{role}")
 
 
-def build_source(n: int, alpha: float, delta: float, seed: int, error_model: str = "random") -> SourcePair:
-    cfg = SourceConfig(n=n, alpha=alpha, delta=delta, error_model=error_model, seed=f"{seed}:source")
-    return generate(cfg)
+def build_source(n: int, alpha: float, delta: float, seed: int) -> SourcePair:
+    return generate(SourceConfig(n=n, alpha=alpha, delta=delta, seed=f"{seed}:source"))
 
 
 @dataclass(frozen=True)
@@ -82,157 +89,161 @@ class OTOutcome:
         return self.completed and self.output == self.secrets[self.choice]
 
 
+# --------------------------------------------------------------------------
+# reading, sending and aborting
+
+
+class _Abort(Exception):
+    """Ends a party early with `reason`, sending `reply` first unless None."""
+
+    def __init__(self, reason: Reason, reply: object | None):
+        super().__init__(reason.label)
+        self.reason = reason
+        self.reply = reply
+
+
+def _closing(ok: bool, reason: Reason) -> ResultMsg:
+    return ResultMsg(ok, reason, BitString.zeros(0))
+
+
+_MALFORMED = AbortMsg(Reason.MALFORMED_MESSAGE)
+
+
 def _send(chan, msg) -> None:
     chan.send(encode_message(msg))
 
 
-def _recv(chan):
-    return decode_message(chan.recv())
-
-
-def _drain(chan) -> None:
-    # After an early abort the peer may still have frames in flight; keep
-    # reading until it sees the abort and closes, so no send of ours races
-    # a closed socket.
+def _expect(chan, cls, reply: object = _MALFORMED):
+    """The peer's next message, which must be a `cls`; anything else aborts."""
     try:
-        while True:
-            chan.recv()
-    except (ConnectionError, FrameError):
-        pass
+        msg = decode_message(chan.recv())
+    except FrameError:
+        raise _Abort(Reason.MALFORMED_MESSAGE, reply) from None
+    if isinstance(msg, AbortMsg):
+        raise _Abort(msg.reason, None)
+    if not isinstance(msg, cls):
+        raise _Abort(Reason.MALFORMED_MESSAGE, reply)
+    return msg
+
+
+def _play(chan, party, pair: SourcePair, steps, failed: dict) -> dict:
+    """Run one party's message order; on an abort, report the failed result."""
+    party.transmit(pair)
+    try:
+        return steps(chan, party)
+    except _Abort as abort:
+        reason, reply = abort.reason, abort.reply
+    except SetupAbort as abort:
+        reason, reply = abort.reason, AbortMsg(abort.reason)
+    except DependentQueryError:
+        reason, reply = Reason.DEPENDENT_QUERY, AbortMsg(Reason.DEPENDENT_QUERY)
+    except ValueError:  # a protocol object refused the peer's data
+        reason, reply = Reason.MALFORMED_MESSAGE, _MALFORMED
+    if reply is not None:
+        _send(chan, reply)
+        # The peer may still have frames in flight; read until it sees the
+        # reply and closes, so our close does not reset its last send.
+        try:
+            while True:
+                chan.recv()
+        except (ConnectionError, FrameError):
+            pass
+    return dict(failed, reason=reason)
 
 
 # --------------------------------------------------------------------------
-# commitment party loops
+# message order of each role
 
 
-def _commit_committer(chan, params: CommitParams, pair: SourcePair, value: BitString, rng) -> dict:
-    party = Committer(params, value, rng)
-    party.transmit(pair)
-    msg = _recv(chan)
-    if not isinstance(msg, HashDesc):
-        _send(chan, AbortMsg(Reason.MALFORMED_MESSAGE))
-        return {"accepted": False, "reason": Reason.MALFORMED_MESSAGE, "opened": None}
-    try:
-        g = ToeplitzHash(params.k, params.digest_len, msg.diag)
-    except ValueError:
-        _send(chan, AbortMsg(Reason.MALFORMED_MESSAGE))
-        return {"accepted": False, "reason": Reason.MALFORMED_MESSAGE, "opened": None}
+def _committer(chan, party: Committer) -> dict:
+    p = party.params
+    g = ToeplitzHash(p.k, p.digest_len, _expect(chan, HashDesc).diag)
     _send(chan, party.make_commitment(g))
     _send(chan, party.open())
-    reply = _recv(chan)
-    if isinstance(reply, ResultMsg):
-        opened = reply.value if reply.ok else None
-        return {"accepted": reply.ok, "reason": reply.reason, "opened": opened}
-    if isinstance(reply, AbortMsg):
-        return {"accepted": False, "reason": reply.reason, "opened": None}
-    return {"accepted": False, "reason": Reason.MALFORMED_MESSAGE, "opened": None}
+    result = _expect(chan, ResultMsg)
+    opened = result.value if result.ok else None
+    return {"accepted": result.ok, "reason": result.reason, "opened": opened}
 
 
-def _commit_verifier(chan, params: CommitParams, pair: SourcePair, rng) -> dict:
-    party = Verifier(params, rng)
-    party.transmit(pair)
-    g = party.choose_hash()
-    _send(chan, HashDesc(g.diag))
-    msg = _recv(chan)
-    if not isinstance(msg, CommitMessage):
-        _send(chan, ResultMsg(False, Reason.MALFORMED_MESSAGE, BitString.zeros(0)))
-        return {"accepted": False, "reason": Reason.MALFORMED_MESSAGE, "opened": None}
-    party.receive_commitment(msg)
-    opening = _recv(chan)
-    if not isinstance(opening, OpenMessage):
-        _send(chan, ResultMsg(False, Reason.MALFORMED_MESSAGE, BitString.zeros(0)))
-        return {"accepted": False, "reason": Reason.MALFORMED_MESSAGE, "opened": None}
+def _verifier(chan, party: Verifier) -> dict:
+    _send(chan, HashDesc(party.choose_hash().diag))
+    reject = _closing(False, Reason.MALFORMED_MESSAGE)
+    party.receive_commitment(_expect(chan, CommitMessage, reject))
+    opening = _expect(chan, OpenMessage, reject)
     res = party.verify(opening)
     opened = opening.value if res.accept else None
-    _send(chan, ResultMsg(res.accept, res.reason, opened if opened is not None else BitString.zeros(0)))
+    _send(chan, ResultMsg(res.accept, res.reason, opened or BitString.zeros(0)))
     return {"accepted": res.accept, "reason": res.reason, "opened": opened}
 
 
-# --------------------------------------------------------------------------
-# transfer party loops
-
-
-def _ot_sender(chan, params: OTParams, pair: SourcePair, s0: BitString, s1: BitString, rng) -> dict:
-    party = OTSender(params, s0, s1, rng)
-    party.transmit(pair)
+def _sender(chan, party: OTSender) -> dict:
     _send(chan, SetA(party.begin_setup()))
     while not party.querier.finished:
         _send(chan, IHQuery(party.next_query()))
-        reply = _recv(chan)
-        if isinstance(reply, AbortMsg):
-            return {"completed": False, "reason": reply.reason}
-        if not isinstance(reply, IHResponse):
-            _send(chan, AbortMsg(Reason.MALFORMED_MESSAGE))
-            return {"completed": False, "reason": Reason.MALFORMED_MESSAGE}
-        party.take_response(reply.bit)
-    msg = _recv(chan)
-    if isinstance(msg, AbortMsg):
-        return {"completed": False, "reason": msg.reason}
-    if not isinstance(msg, EBit):
-        _send(chan, AbortMsg(Reason.MALFORMED_MESSAGE))
-        return {"completed": False, "reason": Reason.MALFORMED_MESSAGE}
-    try:
-        party.finish_setup()
-    except SetupAbort as abort:
-        _send(chan, AbortMsg(abort.reason))
-        return {"completed": False, "reason": abort.reason}
-    _send(chan, party.transfer(msg.e))
-    final = _recv(chan)
-    if isinstance(final, ResultMsg):
-        return {"completed": final.ok, "reason": final.reason}
-    return {"completed": False, "reason": Reason.MALFORMED_MESSAGE}
+        party.take_response(_expect(chan, IHResponse).bit)
+    e = _expect(chan, EBit).e
+    party.finish_setup()
+    _send(chan, party.transfer(e))
+    result = _expect(chan, ResultMsg)
+    return {"completed": result.ok, "reason": result.reason}
 
 
-def _ot_receiver(chan, params: OTParams, pair: SourcePair, choice: int, rng, w_strategy=None) -> dict:
-    party = OTReceiver(params, choice, rng, w_strategy=w_strategy)
-    party.transmit(pair)
-    msg = _recv(chan)
-    if not isinstance(msg, SetA):
-        _send(chan, AbortMsg(Reason.MALFORMED_MESSAGE))
-        _drain(chan)
-        return {"completed": False, "reason": Reason.MALFORMED_MESSAGE, "output": None}
+def _receiver(chan, party: OTReceiver) -> dict:
+    party.receive_positions(_expect(chan, SetA).positions)
+    for _ in range(party.params.m - 1):
+        _send(chan, IHResponse(party.respond(_expect(chan, IHQuery).q)))
+    _send(chan, EBit(party.finish_setup()))
+    payload = _expect(chan, TransferPayload)
     try:
-        party.receive_positions(msg.positions)
+        output = party.receive_payload(payload)
+        reason = Reason.OK if output is not None else Reason.DECODE_FAILURE
     except SetupAbort as abort:
-        _send(chan, AbortMsg(abort.reason))
-        _drain(chan)
-        return {"completed": False, "reason": abort.reason, "output": None}
-    for _ in range(params.m - 1):
-        q = _recv(chan)
-        if not isinstance(q, IHQuery):
-            _send(chan, AbortMsg(Reason.MALFORMED_MESSAGE))
-            return {"completed": False, "reason": Reason.MALFORMED_MESSAGE, "output": None}
-        try:
-            bit = party.respond(q.q)
-        except DependentQueryError:
-            _send(chan, AbortMsg(Reason.DEPENDENT_QUERY))
-            return {"completed": False, "reason": Reason.DEPENDENT_QUERY, "output": None}
-        except ValueError:
-            _send(chan, AbortMsg(Reason.MALFORMED_MESSAGE))
-            return {"completed": False, "reason": Reason.MALFORMED_MESSAGE, "output": None}
-        _send(chan, IHResponse(bit))
-    try:
-        e = party.finish_setup()
-    except SetupAbort as abort:
-        _send(chan, AbortMsg(abort.reason))
-        return {"completed": False, "reason": abort.reason, "output": None}
-    _send(chan, EBit(e))
-    msg = _recv(chan)
-    if isinstance(msg, AbortMsg):
-        return {"completed": False, "reason": msg.reason, "output": None}
-    if not isinstance(msg, TransferPayload):
-        _send(chan, AbortMsg(Reason.MALFORMED_MESSAGE))
-        return {"completed": False, "reason": Reason.MALFORMED_MESSAGE, "output": None}
-    try:
-        output = party.receive_payload(msg)
-    except SetupAbort as abort:
-        _send(chan, ResultMsg(False, abort.reason, BitString.zeros(0)))
-        return {"completed": False, "reason": abort.reason, "output": None}
-    if output is None:
-        _send(chan, ResultMsg(False, Reason.DECODE_FAILURE, BitString.zeros(0)))
-        return {"completed": False, "reason": Reason.DECODE_FAILURE, "output": None}
-    _send(chan, ResultMsg(True, Reason.OK, BitString.zeros(0)))
-    return {"completed": True, "reason": Reason.OK, "output": output}
+        output, reason = None, abort.reason
+    _send(chan, _closing(output is not None, reason))
+    return {"completed": output is not None, "reason": reason, "output": output}
+
+
+# --------------------------------------------------------------------------
+# one builder per protocol: inputs, broadcast, and each role bound to a channel
+
+
+def _commit_roles(params: CommitParams, seed: int, value: BitString | None):
+    if value is None:
+        value = BitString.random(params.m, role_rng(seed, "input"))
+    pair = build_source(params.n, params.alpha, params.delta, seed)
+    failed = {"accepted": False, "opened": None}
+    return value, {
+        "committer": lambda chan: _play(
+            chan, Committer(params, value, role_rng(seed, "alice")), pair, _committer, failed),
+        "verifier": lambda chan: _play(
+            chan, Verifier(params, role_rng(seed, "bob")), pair, _verifier, failed),
+    }
+
+
+def _ot_roles(
+    params: OTParams,
+    seed: int,
+    choice: int | None,
+    secrets: tuple[BitString, BitString] | None,
+):
+    rng_in = role_rng(seed, "input")
+    drawn = rng_in.getrandbits(1)  # drawn even when given: the secrets come after it
+    choice = drawn if choice is None else choice
+    if secrets is None:
+        secrets = (
+            BitString.random(params.payload_len, rng_in),
+            BitString.random(params.payload_len, rng_in),
+        )
+    pair = build_source(params.n, params.alpha, params.delta, seed)
+    s0, s1 = secrets
+    return choice, secrets, {
+        "sender": lambda chan: _play(
+            chan, OTSender(params, s0, s1, role_rng(seed, "alice")), pair, _sender,
+            {"completed": False}),
+        "receiver": lambda chan: _play(
+            chan, OTReceiver(params, choice, role_rng(seed, "bob")), pair, _receiver,
+            {"completed": False, "output": None}),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -277,21 +288,11 @@ def run_commit_session(
     value: BitString | None = None,
     seed: int = 0,
     transport: str = "memory",
-    error_model: str = "random",
 ) -> CommitOutcome:
-    if value is None:
-        value = BitString.random(params.m, role_rng(seed, "input"))
-    pair = build_source(params.n, params.alpha, params.delta, seed, error_model)
+    value, roles = _commit_roles(params, seed, value)
     transcript: list = []
-    chan_a, chan_b = _make_channels(transport, transcript)
-    rng_a = role_rng(seed, "alice")
-    rng_b = role_rng(seed, "bob")
-    res_a, res_b = _run_pair(
-        lambda ch: _commit_committer(ch, params, pair, value, rng_a),
-        lambda ch: _commit_verifier(ch, params, pair, rng_b),
-        chan_a,
-        chan_b,
-    )
+    chans = _make_channels(transport, transcript)
+    _, res_b = _run_pair(roles["committer"], roles["verifier"], *chans)
     return CommitOutcome(
         value=value,
         accepted=bool(res_b["accepted"]),
@@ -307,35 +308,16 @@ def run_ot_session(
     secrets: tuple[BitString, BitString] | None = None,
     seed: int = 0,
     transport: str = "memory",
-    error_model: str = "random",
-    w_strategy=None,
 ) -> OTOutcome:
-    rng_in = role_rng(seed, "input")
-    if choice is None:
-        choice = rng_in.getrandbits(1)
-    if secrets is None:
-        secrets = (
-            BitString.random(params.payload_len, rng_in),
-            BitString.random(params.payload_len, rng_in),
-        )
-    pair = build_source(params.n, params.alpha, params.delta, seed, error_model)
+    choice, secrets, roles = _ot_roles(params, seed, choice, secrets)
     transcript: list = []
-    chan_a, chan_b = _make_channels(transport, transcript)
-    rng_a = role_rng(seed, "alice")
-    rng_b = role_rng(seed, "bob")
-    res_a, res_b = _run_pair(
-        lambda ch: _ot_sender(ch, params, pair, secrets[0], secrets[1], rng_a),
-        lambda ch: _ot_receiver(ch, params, pair, choice, rng_b, w_strategy),
-        chan_a,
-        chan_b,
-    )
-    completed = bool(res_a["completed"]) and bool(res_b["completed"])
-    reason = res_b["reason"] if res_b["reason"] != Reason.OK else res_a["reason"]
+    chans = _make_channels(transport, transcript)
+    res_a, res_b = _run_pair(roles["sender"], roles["receiver"], *chans)
     return OTOutcome(
         choice=choice,
         secrets=secrets,
-        completed=completed,
-        reason=reason,
+        completed=bool(res_a["completed"]) and bool(res_b["completed"]),
+        reason=res_b["reason"] if res_b["reason"] != Reason.OK else res_a["reason"],
         output=res_b["output"],
         transcript=tuple(transcript),
     )
@@ -345,26 +327,26 @@ def run_ot_session(
 # single-party entry points (cross-host sessions)
 
 
+def _role(roles: dict, role: str, protocol: str):
+    if role not in roles:
+        raise ValueError(f"unknown {protocol} role {role!r}")
+    return roles[role]
+
+
 def commit_party(
     role: str,
     chan,
     params: CommitParams,
     seed: int,
     value: BitString | None = None,
-    error_model: str = "random",
 ) -> dict:
     """Run one side of a commitment over an established channel.  Both hosts
     must share seed and parameters so they regenerate the same broadcast."""
-    pair = build_source(params.n, params.alpha, params.delta, seed, error_model)
+    value, roles = _commit_roles(params, seed, value)
+    out = _role(roles, role, "commit")(chan)
     if role == "committer":
-        if value is None:
-            value = BitString.random(params.m, role_rng(seed, "input"))
-        out = _commit_committer(chan, params, pair, value, role_rng(seed, "alice"))
         out["value"] = value
-        return out
-    if role == "verifier":
-        return _commit_verifier(chan, params, pair, role_rng(seed, "bob"))
-    raise ValueError(f"unknown commit role {role!r}")
+    return out
 
 
 def ot_party(
@@ -374,23 +356,12 @@ def ot_party(
     seed: int,
     choice: int | None = None,
     secrets: tuple[BitString, BitString] | None = None,
-    error_model: str = "random",
 ) -> dict:
-    pair = build_source(params.n, params.alpha, params.delta, seed, error_model)
-    rng_in = role_rng(seed, "input")
-    default_choice = rng_in.getrandbits(1)
-    default_secrets = (
-        BitString.random(params.payload_len, rng_in),
-        BitString.random(params.payload_len, rng_in),
-    )
+    """Run one side of a transfer; see `commit_party`."""
+    choice, secrets, roles = _ot_roles(params, seed, choice, secrets)
+    out = _role(roles, role, "transfer")(chan)
     if role == "sender":
-        s0, s1 = secrets if secrets is not None else default_secrets
-        out = _ot_sender(chan, params, pair, s0, s1, role_rng(seed, "alice"))
-        out["secrets"] = (s0, s1)
-        return out
-    if role == "receiver":
-        c = choice if choice is not None else default_choice
-        out = _ot_receiver(chan, params, pair, c, role_rng(seed, "bob"))
-        out["choice"] = c
-        return out
-    raise ValueError(f"unknown transfer role {role!r}")
+        out["secrets"] = secrets
+    else:
+        out["choice"] = choice
+    return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .bits import BitString, IndexSet
 from .hashing import ToeplitzHash, random_seed, strong_extract
 from .infomath import CommitParams, floor_tol
-from .reasons import Reason
+from .reasons import Reason, _Phased
 from .source import SourcePair, sample_positions
 
 __all__ = [
@@ -51,16 +51,6 @@ class OpenMessage:
 class VerifyResult:
     accept: bool
     reason: Reason
-
-
-class _Phased:
-    def __init__(self):
-        self._phase = "new"
-
-    def _advance(self, expected: str, nxt: str):
-        if self._phase != expected:
-            raise RuntimeError(f"phase is {self._phase!r}, expected {expected!r}")
-        self._phase = nxt
 
 
 class Committer(_Phased):

@@ -14,7 +14,7 @@ import random
 
 from .bits import BitString
 
-__all__ = ["ToeplitzHash", "uhash_eval", "strong_extract", "seed_length", "random_seed"]
+__all__ = ["ToeplitzHash", "strong_extract", "seed_length", "random_seed"]
 
 
 class ToeplitzHash:
@@ -69,10 +69,6 @@ class ToeplitzHash:
 
     def __repr__(self) -> str:
         return f"ToeplitzHash(in_len={self.in_len}, out_len={self.out_len})"
-
-
-def uhash_eval(g: ToeplitzHash, x: BitString) -> BitString:
-    return g(x)
 
 
 def seed_length(in_len: int, out_len: int) -> int:

@@ -26,16 +26,11 @@ from .codes import fuzzy_ext, fuzzy_rec
 from .hashing import random_seed
 from .infomath import OTParams
 from .ihash import Querier, Respondent
-from .reasons import Reason
+from .reasons import Reason, _Phased
 from .source import SourcePair, sample_positions
 from .subsets import DenseCode
 
-__all__ = ["TransferPayload", "SetupAbort", "OTSender", "OTReceiver", "index_map"]
-
-
-def index_map(a: IndexSet, relative: IndexSet) -> IndexSet:
-    """Absolute positions selected from A by relative positions within A."""
-    return a.select(relative)
+__all__ = ["TransferPayload", "SetupAbort", "OTSender", "OTReceiver"]
 
 
 @dataclass(frozen=True)
@@ -52,16 +47,6 @@ class SetupAbort(Exception):
     def __init__(self, reason: Reason):
         self.reason = reason
         super().__init__(reason.label)
-
-
-class _Phased:
-    def __init__(self):
-        self._phase = "new"
-
-    def _advance(self, expected: str, nxt: str):
-        if self._phase != expected:
-            raise RuntimeError(f"phase is {self._phase!r}, expected {expected!r}")
-        self._phase = nxt
 
 
 class OTSender(_Phased):
@@ -114,7 +99,7 @@ class OTSender(_Phased):
 
     def candidate_subsets(self) -> tuple[IndexSet, IndexSet]:
         """Absolute candidate subsets, for reporting."""
-        return (index_map(self.a, self._c_rel[0]), index_map(self.a, self._c_rel[1]))
+        return (self.a.select(self._c_rel[0]), self.a.select(self._c_rel[1]))
 
     def transfer(self, e: int) -> TransferPayload:
         p = self.params
@@ -179,7 +164,7 @@ class OTReceiver(_Phased):
             w = self._w_strategy(self._dense, overlap_rel, self._rng)
             decoded = self._dense.decode(w)
             if decoded is not None:
-                self.c_abs = index_map(a, decoded[0])
+                self.c_abs = a.select(decoded[0])
         else:
             picked = IndexSet(p.n, sorted(self._rng.sample(overlap.indices, p.ell)))
             self.c_abs = picked

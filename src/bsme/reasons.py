@@ -1,4 +1,5 @@
-"""Outcome reason codes shared by the protocols and the wire format."""
+"""Outcome reason codes shared by the protocols and the wire format, and the
+phase guard both protocols' parties share."""
 
 from __future__ import annotations
 
@@ -19,3 +20,15 @@ class Reason(IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower().replace("_", "-")
+
+
+class _Phased:
+    """Refuses a party method called out of protocol order."""
+
+    def __init__(self):
+        self._phase = "new"
+
+    def _advance(self, expected: str, nxt: str):
+        if self._phase != expected:
+            raise RuntimeError(f"phase is {self._phase!r}, expected {expected!r}")
+        self._phase = nxt

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import socket
 import threading
@@ -247,17 +248,38 @@ class TestRunner:
         assert a.output == b.output
 
     def test_ot_transcripts_differ_only_in_e_bit(self):
-        a = runner.run_ot_session(OT_PARAMS, seed=6, choice=0)
-        b = runner.run_ot_session(OT_PARAMS, seed=6, choice=1)
+        # The receiver's frames hide its choice except through e = choice xor d.
+        # The secrets differ, so the sender's payload frame differs as well.
+        secrets = (BitString(OT_PARAMS.payload_len, 0), BitString(OT_PARAMS.payload_len, 1))
+        a = runner.run_ot_session(OT_PARAMS, seed=6, choice=0, secrets=secrets)
+        b = runner.run_ot_session(OT_PARAMS, seed=6, choice=1, secrets=secrets)
         assert a.correct and b.correct
         diffs = [
             (fa, fb)
             for (la, fa), (lb, fb) in zip(a.transcript, b.transcript)
-            if fa != fb
+            if la == lb == "B" and fa != fb
         ]
         assert len(diffs) == 1
         assert diffs[0][0][0] == framing.TAG_E_BIT
         assert diffs[0][1][0] == framing.TAG_E_BIT
+
+    def test_wire_is_frozen(self):
+        # Frozen digests of the seed-42 transcripts: a change to any frame,
+        # or to the order of frames, fails here.
+        def digest(transcript):
+            h = hashlib.sha256()
+            for label, frame in transcript:
+                h.update(label.encode() + len(frame).to_bytes(4, "big") + frame)
+            return h.hexdigest()
+
+        commit = runner.run_commit_session(COMMIT_PARAMS, seed=42)
+        ot = runner.run_ot_session(OT_PARAMS, seed=42)
+        assert len(commit.transcript) == 4
+        assert digest(commit.transcript) == (
+            "17052b04041ef6949f5531b0628b860614acb46063edea7f1228d45391ddf8f9")
+        assert len(ot.transcript) == 450
+        assert digest(ot.transcript) == (
+            "552095e842308c5707025164b8900a287eacfc2eac2b32eaf700978f25cd46b0")
 
     def test_cross_host_parties_agree(self):
         # drive commit_party on both ends of one socket pair
@@ -280,6 +302,138 @@ class TestRunner:
         t1.join(30); t2.join(30)
         assert results["verifier"]["accepted"]
         assert results["verifier"]["opened"] == BitString(COMMIT_PARAMS.m, 1)
+
+    def test_cross_host_ot_matches_in_process(self):
+        # Both halves derive the same default secrets as the in-process run
+        # when only the choice is given.
+        transcript = []
+        chans = dict(zip(("sender", "receiver"), channel.socketpair_channels(transcript)))
+        results = {}
+
+        def run(role):
+            try:
+                results[role] = runner.ot_party(
+                    role, chans[role], OT_PARAMS, seed=3,
+                    choice=1 if role == "receiver" else None,
+                )
+            finally:
+                chans[role].close()
+
+        threads = [threading.Thread(target=run, args=(role,)) for role in chans]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        ref = runner.run_ot_session(OT_PARAMS, choice=1, seed=3)
+        assert results["sender"]["secrets"] == ref.secrets
+        assert results["receiver"]["output"] == ref.output
+        assert results["receiver"]["choice"] == 1
+        assert tuple(transcript) == ref.transcript
+
+
+HOSTILE_SEED = 11
+HOSTILE_JOIN_TIMEOUT = 10.0
+_PADDED = bytes.fromhex("06 00000001 00000003 ff".replace(" ", ""))  # padding bits set
+_SHORT_QUERY = encode_message(IHQuery(BitString(3, 5)))
+_PEER_ABORT = encode_message(AbortMsg(Reason.DIGEST_MISMATCH))
+
+
+def _honest_peer_frames(role):
+    """The frames an honest peer of `role` sends in the seeded session."""
+    if role in ("committer", "verifier"):
+        out = runner.run_commit_session(COMMIT_PARAMS, seed=HOSTILE_SEED)
+    else:
+        out = runner.run_ot_session(OT_PARAMS, seed=HOSTILE_SEED)
+    own = "A" if role in ("committer", "sender") else "B"
+    return [frame for label, frame in out.transcript if label != own]
+
+
+def _bad_frame(kind, honest):
+    if kind == "padding":
+        return _PADDED
+    if kind == "wrong-type":
+        return encode_message(IHResponse(0) if honest[0] == framing.TAG_E_BIT else EBit(0))
+    if kind == "short-query":
+        return _SHORT_QUERY
+    return _PEER_ABORT
+
+
+class TestHostilePeer:
+    """One party against a peer that replays an honest session, then sends
+    one bad frame at a chosen receive step."""
+
+    M = OT_PARAMS.m
+    # Commit parties receive twice.  A transfer party receives m+1 times:
+    # the sender m-1 IH responses, the e bit and the result; the receiver
+    # the set A, m-1 IH queries and the payload.  The steps cover each
+    # message type and the first and last IH rounds.
+    CASES = [
+        (role, step)
+        for role, steps in (
+            ("committer", (0, 1)),
+            ("verifier", (0, 1)),
+            ("sender", (0, 1, M // 2, M - 2, M - 1, M)),
+            ("receiver", (0, 1, M // 2, M - 2, M - 1, M)),
+        )
+        for step in steps
+    ]
+
+    @staticmethod
+    def _run(role, incoming):
+        """Run `role` against a peer that sends `incoming` and then closes;
+        return the party's result and the messages it sent."""
+        transcript = []
+        mine, peer = channel.memory_pair(transcript)
+        result = {}
+
+        def run():
+            try:
+                if role in ("committer", "verifier"):
+                    result["out"] = runner.commit_party(role, mine, COMMIT_PARAMS, HOSTILE_SEED)
+                else:
+                    result["out"] = runner.ot_party(role, mine, OT_PARAMS, HOSTILE_SEED)
+            except BaseException as exc:
+                result["exc"] = exc
+
+        party = threading.Thread(target=run, daemon=True)
+        party.start()
+        for frame in incoming:
+            peer.send(frame)
+        peer.close()
+        party.join(HOSTILE_JOIN_TIMEOUT)
+        assert not party.is_alive()
+        assert "exc" not in result, result.get("exc")
+        out = result["out"]
+        assert not out.get("accepted", out.get("completed"))
+        return out, [decode_message(frame) for label, frame in transcript if label == "A"]
+
+    @pytest.mark.parametrize("kind", ["padding", "wrong-type", "short-query", "peer-abort"])
+    @pytest.mark.parametrize("role,step", CASES)
+    def test_bad_frame_ends_in_named_reason(self, role, step, kind):
+        honest = _honest_peer_frames(role)
+        out, sent = self._run(role, honest[:step] + [_bad_frame(kind, honest[step])])
+        if kind == "peer-abort":
+            assert out["reason"] is Reason.DIGEST_MISMATCH
+            assert not any(isinstance(m, (AbortMsg, ResultMsg)) for m in sent)
+        elif role == "verifier":
+            assert out["reason"] is Reason.MALFORMED_MESSAGE
+            assert sent[-1] == ResultMsg(False, Reason.MALFORMED_MESSAGE, BitString.zeros(0))
+        else:
+            assert out["reason"] is Reason.MALFORMED_MESSAGE
+            assert sent[-1] == AbortMsg(Reason.MALFORMED_MESSAGE)
+
+    def test_refused_hash_aborts_committer(self):
+        # A well-formed HashDesc whose diagonal does not fit k and the digest length
+        out, sent = self._run("committer", [encode_message(HashDesc(BitString(3, 5)))])
+        assert out["reason"] is Reason.MALFORMED_MESSAGE
+        assert sent == [AbortMsg(Reason.MALFORMED_MESSAGE)]
+
+    def test_dependent_query_aborts_receiver(self):
+        honest = _honest_peer_frames("receiver")
+        zero = encode_message(IHQuery(BitString.zeros(OT_PARAMS.m)))
+        out, sent = self._run("receiver", honest[:1] + [zero])
+        assert out["reason"] is Reason.DEPENDENT_QUERY
+        assert sent == [AbortMsg(Reason.DEPENDENT_QUERY)]
 
 
 class TestCLI:

@@ -11,7 +11,6 @@ from bsme.hashing import (
     random_seed,
     seed_length,
     strong_extract,
-    uhash_eval,
 )
 from bsme.infomath import Distribution, min_entropy, statistical_distance
 
@@ -91,7 +90,6 @@ class TestExtractor:
         seed = random_seed(9, 4, rng)
         direct = ToeplitzHash(9, 4, seed)(x)
         assert strong_extract(x, seed, 4) == direct
-        assert uhash_eval(ToeplitzHash(9, 4, seed), x) == direct
 
     def test_strong_extract_validation(self):
         x = BitString.zeros(5)

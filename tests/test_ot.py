@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bsme.bits import BitString, IndexSet
 from bsme.codes import LinearCode
 from bsme.infomath import derive_ot_params
-from bsme.ot import OTReceiver, OTSender, SetupAbort, TransferPayload, index_map
+from bsme.ot import OTReceiver, OTSender, SetupAbort, TransferPayload
 from bsme.reasons import Reason
 from bsme.source import SourceConfig, generate
 
@@ -164,8 +164,3 @@ class TestValidation:
                           BitString.zeros(PARAMS.payload_len), rng)
         with pytest.raises(RuntimeError):
             sender.begin_setup()
-
-    def test_index_map(self):
-        a = IndexSet(10, (1, 3, 4, 7, 9))
-        rel = IndexSet(5, (0, 2, 4))
-        assert index_map(a, rel) == IndexSet(10, (1, 4, 9))
