@@ -10,7 +10,27 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from itertools import accumulate, count
+from operator import add, lt
 from typing import Iterable, Iterator, Sequence
+
+
+def scatter_digits(ground: int, positions: Sequence[int], digits: bytes) -> int:
+    """Integer with bit ``positions[j]`` set to ASCII digit ``digits[j]``, zero elsewhere.
+
+    ``positions`` are strictly increasing in ``[0, ground)``, one digit each.
+    The digits go into one ground-length buffer, bit 0 first, which is read
+    back with a single ``int(..., 2)``.  The buffer keeps one spare leading
+    zero so that an empty ground set still parses.
+    """
+    if len(positions) == ground:
+        # Strictly increasing positions that fill the ground set are 0..ground-1.
+        buf = digits + b"0"
+    else:
+        buf = bytearray(b"0") * (ground + 1)
+        for pos, digit in zip(positions, digits):
+            buf[pos] = digit
+    return int(buf[::-1], 2)
 
 
 class BitString:
@@ -117,11 +137,10 @@ class BitString:
         """Bits at the given positions, in increasing position order."""
         if positions.ground != self._length:
             raise ValueError("ground set does not match bit string length")
-        value = 0
-        v = self._value
-        for out_pos, pos in enumerate(positions):
-            value |= ((v >> pos) & 1) << out_pos
-        return BitString(len(positions), value)
+        # Character i of the reversed binary text is bit i.
+        text = format(self._value, f"0{self._length}b")[::-1]
+        picked = "".join(map(text.__getitem__, positions))
+        return BitString(len(positions), int("0" + picked[::-1], 2))
 
     def slice_bits(self, start: int, count: int) -> "BitString":
         if start < 0 or count < 0 or start + count > self._length:
@@ -181,11 +200,8 @@ class IndexSet:
         idx = tuple(indices)
         if ground < 0:
             raise ValueError("ground must be non-negative")
-        prev = -1
-        for i in idx:
-            if i <= prev:
-                raise ValueError("indices must be strictly increasing")
-            prev = i
+        if not all(map(lt, idx, idx[1:])):
+            raise ValueError("indices must be strictly increasing")
         if idx and (idx[0] < 0 or idx[-1] >= ground):
             raise ValueError("index out of ground range")
         object.__setattr__(self, "_ground", ground)
@@ -204,13 +220,12 @@ class IndexSet:
 
     @classmethod
     def from_mask(cls, mask: BitString) -> "IndexSet":
-        v = mask.to_int()
-        out = []
-        while v:
-            low = v & -v
-            out.append(low.bit_length() - 1)
-            v ^= low
-        return cls(mask.length, out)
+        n = mask.length
+        # Each "1" of the reversed binary text (bit 0 first) closes a run of
+        # zeros; the j-th set bit sits after j earlier ones and the zeros so far.
+        runs = format(mask.to_int(), f"0{n}b")[::-1].split("1")
+        runs.pop()
+        return cls(n, map(add, accumulate(map(len, runs)), count()))
 
     @property
     def ground(self) -> int:
@@ -221,10 +236,8 @@ class IndexSet:
         return self._indices
 
     def to_mask(self) -> BitString:
-        value = 0
-        for i in self._indices:
-            value |= 1 << i
-        return BitString(self._ground, value)
+        idx = self._indices
+        return BitString(self._ground, scatter_digits(self._ground, idx, b"1" * len(idx)))
 
     def intersect(self, other: "IndexSet") -> "IndexSet":
         if self._ground != other._ground:

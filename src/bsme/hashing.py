@@ -33,10 +33,9 @@ class ToeplitzHash:
         d = diag.to_int()
         mask = (1 << in_len) - 1
         # Row i holds matrix entries (i, j) at bit j; consecutive rows shift
-        # the diagonal window by one.
-        row = 0
-        for j in range(in_len):
-            row |= ((d >> (in_len - 1 - j)) & 1) << j
+        # the diagonal window by one.  Row 0 is the low in_len diagonal bits
+        # in reverse order.
+        row = int(format(d & mask, f"0{in_len}b")[::-1], 2)
         rows = [row]
         for i in range(1, out_len):
             row = ((row << 1) & mask) | ((d >> (i + in_len - 1)) & 1)

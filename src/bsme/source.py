@@ -5,6 +5,16 @@ X carries exactly ``ceil(alpha*n)`` uniformly placed uniform bits (the rest
 are zero), so its min-entropy is exactly that count.  X~ differs from X in
 exactly ``floor(delta*n)`` positions chosen by the error model, except that
 a clamped adversarial callback may flip fewer.
+
+Stream contract: a seed fixes every output, so ``generate`` consumes its
+generator in a fixed order.  ``sample_positions`` draws the support with one
+``rng.sample`` call, then ``source_word`` takes one 32-bit generator word per
+support position, in increasing position order, and uses the word's top bit
+as the source bit; the random error model then draws its positions with a
+second ``rng.sample``.  At full support (alpha = 1) the support is every
+position, but ``rng.sample`` still shuffles all n of them: skipping the
+shuffle would shift every later draw and so change every seeded broadcast,
+and with it which seeds the existing seeded checks see.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .bits import BitString, IndexSet
+from .bits import BitString, IndexSet, scatter_digits
 from .infomath import floor_tol
 
 ERROR_MODELS = ("random", "burst", "adversarial-callback")
@@ -61,16 +71,32 @@ def sample_positions(n: int, k: int, rng: random.Random) -> IndexSet:
     """Uniformly random k-subset of [0, n)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return IndexSet(n, sorted(rng.sample(range(n), k)))
+    drawn = rng.sample(range(n), k)
+    if k == n:
+        # The shuffle is drawn only to keep the seeded stream in step.
+        del drawn
+        return IndexSet.full(n)
+    drawn.sort()
+    return IndexSet(n, drawn)
+
+
+# Byte value -> ASCII digit of its top bit.
+_TOP_BIT_DIGIT = bytes(ord("0") + (b >> 7) for b in range(256))
 
 
 def source_word(support: IndexSet, rng: random.Random) -> BitString:
-    """Uniform bits on ``support``, zero elsewhere: the entropy construction."""
-    value = 0
-    for pos in support:
-        if rng.getrandbits(1):
-            value |= 1 << pos
-    return BitString(support.ground, value)
+    """Uniform bits on ``support``, zero elsewhere: the entropy construction.
+
+    Bit j of the support is the top bit of the j-th 32-bit generator word,
+    which is what ``getrandbits(1)`` per position would return.  One
+    ``getrandbits(32 * k)`` packs the same k words low word first, so the
+    top bit of word j is the top bit of byte ``4*j + 3`` of its
+    little-endian bytes.
+    """
+    k = len(support)
+    words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+    digits = words[3::4].translate(_TOP_BIT_DIGIT)
+    return BitString(support.ground, scatter_digits(support.ground, support.indices, digits))
 
 
 def generate(cfg: SourceConfig) -> SourcePair:

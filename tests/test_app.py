@@ -505,6 +505,23 @@ class TestCLI:
                          "--value", "1"]) == cli.EXIT_USAGE
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, keys", [
+        (["feasibility", "--alpha", "1.0", "--gamma", "0.25", "--delta", "0.02",
+          "--n", "4096"], {"rho", "commit", "ot_gv"}),
+        (["commit", "--n", "512", "--ell", "8", "--seed", "4"],
+         {"params", "value", "accepted", "reason", "opened", "frames"}),
+        (["ot", "--n", "1024", "--ell", "14", "--code", "hamming", "--delta", "0.0",
+          "--seed", "3"],
+         {"params", "choice", "completed", "reason", "output", "correct", "frames"}),
+        (["attack", "--trials", "40"], {"checks", "passed"}),
+        (["lemmas", "--trials", "40"], {"checks", "passed"}),
+        (["selftest"], {"checks", "passed"}),
+    ])
+    def test_json_top_level_keys(self, capsys, argv, keys):
+        import json
+        assert cli.main(argv + ["--json"]) == cli.EXIT_OK
+        assert set(json.loads(capsys.readouterr().out)) == keys
+
     @pytest.mark.parametrize("argv", [
         ["attack", "--trials", "40"],
         ["lemmas", "--trials", "40"],

@@ -237,3 +237,73 @@ class TestIndexSet:
         assert IndexSet(5, (1,)) != IndexSet(6, (1,))
         assert hash(IndexSet(5, (1,))) == hash(IndexSet(5, (1,)))
         assert IndexSet(5, (1,)) != (1,)
+
+
+# Per-bit reference versions of the gather and scatter, kept only here to
+# check the linear-time ones against.
+
+def restrict_ref(x: BitString, positions: IndexSet) -> BitString:
+    value = 0
+    for out_pos, pos in enumerate(positions):
+        value |= ((x.to_int() >> pos) & 1) << out_pos
+    return BitString(len(positions), value)
+
+
+def to_mask_ref(s: IndexSet) -> BitString:
+    value = 0
+    for i in s:
+        value |= 1 << i
+    return BitString(s.ground, value)
+
+
+def from_mask_ref(mask: BitString) -> IndexSet:
+    return IndexSet(mask.length, [i for i in range(mask.length) if (mask.to_int() >> i) & 1])
+
+
+def wide_index_sets():
+    """Index sets over grounds 0-200 (most not multiples of 8 or 32), full sets included."""
+    def build(ground, full, idx):
+        return IndexSet.full(ground) if full else IndexSet(ground, sorted(idx))
+
+    return st.integers(0, 200).flatmap(
+        lambda g: st.builds(
+            build, st.just(g), st.booleans(),
+            st.sets(st.integers(0, g - 1), max_size=g) if g else st.just(set()),
+        )
+    )
+
+
+class TestLinearPlumbing:
+    @given(wide_index_sets(), st.data())
+    def test_restrict_matches_reference(self, s, data):
+        x = BitString(s.ground, data.draw(st.integers(0, (1 << s.ground) - 1)))
+        assert x.restrict(s) == restrict_ref(x, s)
+
+    @given(wide_index_sets())
+    def test_to_mask_matches_reference(self, s):
+        assert s.to_mask() == to_mask_ref(s)
+
+    @given(st.integers(0, 200).flatmap(
+        lambda n: st.integers(0, (1 << n) - 1).map(lambda v: BitString(n, v))))
+    def test_from_mask_matches_reference(self, mask):
+        assert IndexSet.from_mask(mask) == from_mask_ref(mask)
+
+    @pytest.mark.parametrize("ground", [0, 1, 7, 8, 31, 32, 33, 65, 1000])
+    def test_edges(self, ground):
+        full = IndexSet.full(ground)
+        empty = IndexSet(ground)
+        ones = BitString.ones(ground)
+        assert full.to_mask() == ones == to_mask_ref(full)
+        assert empty.to_mask() == BitString.zeros(ground)
+        assert IndexSet.from_mask(ones) == full
+        assert IndexSet.from_mask(BitString.zeros(ground)) == empty
+        x = BitString.random(ground, random.Random(ground))
+        assert x.restrict(full) == x
+        assert x.restrict(empty) == BitString.zeros(0)
+
+    def test_increasing_check_covers_every_pair(self):
+        with pytest.raises(ValueError):
+            IndexSet(10, (0, 1, 2, 3, 9, 8))
+        with pytest.raises(ValueError):
+            IndexSet(10, (0, 0))
+        assert IndexSet(10, range(10)).indices == tuple(range(10))

@@ -71,6 +71,21 @@ class TestToeplitz:
             for j in range(3):
                 assert (row >> j) & 1 == matrix_entry(diag, 3, i, j)
 
+    @given(st.integers(1, 300), st.integers(1, 40), st.data())
+    def test_first_row_matches_reference(self, in_len, out_len, data):
+        # Per-bit reference: row 0 holds diagonal bit in_len-1-j at bit j.
+        diag = BitString(in_len + out_len - 1,
+                         data.draw(st.integers(0, (1 << (in_len + out_len - 1)) - 1)))
+        d = diag.to_int()
+        expect = 0
+        for j in range(in_len):
+            expect |= ((d >> (in_len - 1 - j)) & 1) << j
+        h = ToeplitzHash(in_len, out_len, diag)
+        assert h.row(0) == expect
+        for i in range(out_len):
+            assert all((h.row(i) >> j) & 1 == matrix_entry(diag, in_len, i, j)
+                       for j in range(in_len))
+
     def test_eq(self):
         a = ToeplitzHash(3, 2, BitString(4, 0b1010))
         b = ToeplitzHash(3, 2, BitString(4, 0b1010))
