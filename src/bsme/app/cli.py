@@ -79,11 +79,9 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _apply_config(sub: argparse.ArgumentParser, config: dict) -> set[str]:
+def _apply_config(sub: argparse.ArgumentParser, config: dict) -> None:
     known = {a.dest for a in sub._actions}
-    applicable = {k: v for k, v in config.items() if k in known}
-    sub.set_defaults(**applicable)
-    return set(applicable)
+    sub.set_defaults(**{k: v for k, v in config.items() if k in known})
 
 
 def _bits_arg(text: str) -> BitString:
@@ -184,6 +182,12 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     _apply_config(p, config)
     p.set_defaults(func=cmd_selftest)
 
+    # A key that some other subcommand defines is fine (one file can serve
+    # several); a key that none defines is a typo.
+    known = {a.dest for sub in subs.choices.values() for a in sub._actions}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ValueError(f"--config sets unknown key(s): {', '.join(unknown)}")
     return parser
 
 
@@ -428,14 +432,14 @@ def cmd_selftest(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     config: dict = {}
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            config = _load_config(argv[i + 1])
-            break
-        if tok.startswith("--config="):
-            config = _load_config(tok.split("=", 1)[1])
-            break
     try:
+        for i, tok in enumerate(argv):
+            if tok == "--config" and i + 1 < len(argv):
+                config = _load_config(argv[i + 1])
+                break
+            if tok.startswith("--config="):
+                config = _load_config(tok.split("=", 1)[1])
+                break
         parser = build_parser(config)
         args = parser.parse_args(argv)
         return args.func(args)

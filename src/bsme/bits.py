@@ -33,6 +33,9 @@ def scatter_digits(ground: int, positions: Sequence[int], digits: bytes) -> int:
     return int(buf[::-1], 2)
 
 
+_DIGIT = {0: "0", 1: "1"}  # bools hash as 0 and 1, so they are accepted too
+
+
 class BitString:
     """Immutable fixed-length bit string backed by a Python integer."""
 
@@ -65,19 +68,18 @@ class BitString:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        value = 0
-        length = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value |= b << length
-            length += 1
-        return cls(length, value)
+        try:
+            return cls.from_str("".join(map(_DIGIT.__getitem__, bits)))
+        except KeyError:
+            raise ValueError("bits must be 0 or 1") from None
 
     @classmethod
     def from_str(cls, text: str) -> "BitString":
         """Parse a display string; the leftmost character is bit 0."""
-        return cls.from_bits(int(c) for c in text)
+        # int(..., 2) alone would also take "0b1", "1_0", " 1" and "-1".
+        if text.strip("01"):
+            raise ValueError("display string must hold only 0 and 1")
+        return cls(len(text), int("0" + text[::-1], 2))
 
     @classmethod
     def from_bytes(cls, data: bytes, length: int) -> "BitString":
@@ -101,22 +103,17 @@ class BitString:
         return self._value.to_bytes((self._length + 7) // 8, "little")
 
     def to_str(self) -> str:
-        return "".join("1" if self.bit(i) else "0" for i in range(self._length))
+        # format() writes at least one digit, so length 0 is its own case.
+        return format(self._value, f"0{self._length}b")[::-1] if self._length else ""
 
     def bit(self, i: int) -> int:
         if not 0 <= i < self._length:
             raise IndexError("bit index out of range")
         return (self._value >> i) & 1
 
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self._value >> i) & 1 for i in range(self._length))
-
     def lex_key(self) -> int:
         """Integer that orders bit strings lexicographically, bit 0 first."""
-        key = 0
-        for i in range(self._length):
-            key = (key << 1) | ((self._value >> i) & 1)
-        return key
+        return int("0" + self.to_str(), 2)
 
     # operations ----------------------------------------------------------
 
@@ -164,9 +161,7 @@ class BitString:
         return self._length
 
     def __iter__(self) -> Iterator[int]:
-        v = self._value
-        for i in range(self._length):
-            yield (v >> i) & 1
+        return map(int, self.to_str())
 
     def __eq__(self, other) -> bool:
         return (

@@ -17,7 +17,6 @@ matches, so overload there is silent miscorrection rather than failure.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -115,22 +114,6 @@ class LinearCode:
         """Rate-1 code: no parity checks, empty syndrome, radius 0."""
         return cls(length, ())
 
-    @classmethod
-    def random_linear(cls, length: int, dimension: int, rng: random.Random,
-                      max_tries: int = 1000) -> "LinearCode":
-        if not 0 < dimension <= length or length > 20:
-            raise ValueError("need 0 < dimension <= length <= 20")
-        checks = length - dimension
-        for _ in range(max_tries):
-            rows = tuple(rng.getrandbits(length) for _ in range(checks))
-            if gf2.row_rank(rows) != checks:
-                continue
-            try:
-                return cls(length, rows)
-            except ValueError:
-                continue
-        raise ValueError("could not draw a certifiable random code")
-
     # operations -------------------------------------------------------
 
     def _syndrome_int(self, v: int) -> int:
@@ -159,11 +142,6 @@ class LinearCode:
 
     def descriptor(self) -> tuple:
         return (self.length, self.rows, self.radius)
-
-    @classmethod
-    def from_descriptor(cls, desc: tuple) -> "LinearCode":
-        length, rows, radius = desc
-        return cls(length, tuple(rows), radius)
 
     def __repr__(self) -> str:
         return f"LinearCode(length={self.length}, dimension={self.dimension}, radius={self.radius})"

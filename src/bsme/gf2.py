@@ -24,9 +24,6 @@ class Echelon:
             v ^= row
         return 0
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
     def add(self, v: int) -> bool:
         """Insert ``v``; returns False when it is dependent on the basis."""
         r = self.reduce(v)

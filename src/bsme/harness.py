@@ -20,7 +20,6 @@ from .codes import LinearCode
 from .hashing import ToeplitzHash, seed_length, strong_extract
 from .infomath import binary_entropy, floor_tol
 from .ihash import Querier, solve_pair
-from .subsets import subset_unrank
 
 __all__ = [
     "RegimeError",

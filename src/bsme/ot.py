@@ -97,10 +97,6 @@ class OTSender(_Phased):
         self._c_rel = (c0, c1)
         return c0, c1
 
-    def candidate_subsets(self) -> tuple[IndexSet, IndexSet]:
-        """Absolute candidate subsets, for reporting."""
-        return (self.a.select(self._c_rel[0]), self.a.select(self._c_rel[1]))
-
     def transfer(self, e: int) -> TransferPayload:
         p = self.params
         self._advance("setup-done", "transferred")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .bits import BitString, IndexSet, scatter_digits
@@ -186,26 +186,4 @@ def adversary_store(
     return BoundedMemory(
         budget=budget, stored=x_tilde.restrict(pos),
         descriptor=strategy, positions=pos, truncated=truncated,
-    )
-
-
-def dump_pair(pair: SourcePair) -> bytes:
-    """Pack both views with an 8-byte little-endian length header."""
-    n = pair.x.length
-    return n.to_bytes(8, "little") + pair.x.to_bytes() + pair.x_tilde.to_bytes()
-
-
-def load_pair(data: bytes) -> SourcePair:
-    if len(data) < 8:
-        raise ValueError("truncated dump")
-    n = int.from_bytes(data[:8], "little")
-    nbytes = (n + 7) // 8
-    if len(data) != 8 + 2 * nbytes:
-        raise ValueError("dump length does not match header")
-    x = BitString.from_bytes(data[8 : 8 + nbytes], n)
-    x_tilde = BitString.from_bytes(data[8 + nbytes :], n)
-    diff = IndexSet.from_mask(x ^ x_tilde)
-    return SourcePair(
-        x=x, x_tilde=x_tilde, entropy_positions=IndexSet.full(n),
-        error_positions=diff,
     )

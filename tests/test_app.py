@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import socket
@@ -70,6 +71,38 @@ class TestFrameGoldens:
         data = encode_message(IHQuery(BitString(12, 0x5A3)))
         assert data == bytes.fromhex("06 00000001 0000000C A305".replace(" ", ""))
 
+    # One literal golden per message shape: tag, field count, then each
+    # field's bit length and LSB-first body, in the message's field order.
+    GOLDENS = [
+        (HashDesc(BitString(9, 0x1AB)), "01 00000001 00000009 AB01"),
+        (
+            CommitMessage(masked=BitString(2, 1), digest=BitString(4, 9),
+                          a=IndexSet(8, (0, 3, 7)), u=BitString(5, 22)),
+            "02 00000004 00000002 01 00000004 09 00000008 89 00000005 16",
+        ),
+        (OpenMessage(value=BitString(2, 3), w=BitString(6, 44)),
+         "03 00000002 00000002 03 00000006 2C"),
+        (SetA(IndexSet(0, ())), "04 00000001 00000000"),
+        (IHQuery(BitString(5, 17)), "06 00000001 00000005 11"),
+        (IHResponse(1), "07 00000001 00000001 01"),
+        (
+            TransferPayload(z0=BitString(2, 1), r0=BitString(3, 4), p0=BitString(3, 7),
+                            z1=BitString(2, 2), r1=BitString(3, 0), p1=BitString(3, 1)),
+            "08 00000006 00000002 01 00000003 04 00000003 07"
+            " 00000002 02 00000003 00 00000003 01",
+        ),
+        (ResultMsg(ok=True, reason=Reason.OK, value=BitString(3, 5)),
+         "0A 00000003 00000001 01 00000008 00 00000003 05"),
+        (ResultMsg(ok=False, reason=Reason.DIGEST_MISMATCH, value=BitString(0, 0)),
+         "0A 00000003 00000001 00 00000008 05 00000000"),
+    ]
+
+    @pytest.mark.parametrize("msg,golden", GOLDENS, ids=[type(m).__name__ for m, _ in GOLDENS])
+    def test_golden_per_message(self, msg, golden):
+        data = bytes.fromhex(golden.replace(" ", ""))
+        assert encode_message(msg) == data
+        assert decode_message(data) == msg
+
 
 class TestFrameCodec:
     def test_roundtrip_messages(self):
@@ -93,8 +126,8 @@ class TestFrameCodec:
     @given(st.integers(0, 2**20), st.integers(1, 24))
     def test_frame_roundtrip_property(self, value, bits):
         f = BitString(bits, value % (1 << bits))
-        tag, fields = decode_frame(encode_frame(framing.TAG_IH_QUERY, [f]))
-        assert tag == framing.TAG_IH_QUERY
+        tag, fields = decode_frame(encode_frame(framing.TAGS[IHQuery], [f]))
+        assert tag == framing.TAGS[IHQuery]
         assert fields == [f]
 
     def test_unknown_tag(self):
@@ -107,7 +140,7 @@ class TestFrameCodec:
 
     def test_wrong_field_count(self):
         with pytest.raises(FrameError):
-            encode_frame(framing.TAG_E_BIT, [BitString(1, 1), BitString(1, 0)])
+            encode_frame(framing.TAGS[EBit], [BitString(1, 1), BitString(1, 0)])
         # header rewritten to claim two fields
         data = bytearray(encode_message(EBit(1)))
         data[4] = 2
@@ -116,7 +149,7 @@ class TestFrameCodec:
 
     def test_nonzero_padding_rejected(self):
         # 4-bit field packed into one byte: the top nibble must be zero
-        good = encode_frame(framing.TAG_IH_QUERY, [BitString(4, 0xF)])
+        good = encode_frame(framing.TAGS[IHQuery], [BitString(4, 0xF)])
         bad = bytearray(good)
         bad[-1] |= 0xF0
         with pytest.raises(FrameError):
@@ -134,6 +167,44 @@ class TestFrameCodec:
         with pytest.raises(FrameError):
             decode_frame(b"")
 
+    @pytest.mark.parametrize("msg", [EBit(2), EBit(-1), IHResponse(3),
+                                     ResultMsg(ok=2, reason=Reason.OK, value=BitString(0, 0))])
+    def test_flag_out_of_range_refused(self, msg):
+        # flags are exactly 0 or 1 on both sides of the wire; nothing is masked
+        with pytest.raises(FrameError):
+            encode_message(msg)
+
+    def test_flag_must_be_one_bit(self):
+        for tag in (framing.TAGS[EBit], framing.TAGS[IHResponse]):
+            with pytest.raises(FrameError):
+                decode_message(encode_frame(tag, [BitString(2, 1)]))
+        bad_ok = encode_frame(framing.TAGS[ResultMsg],
+                              [BitString(0, 0), BitString(8, 0), BitString(0, 0)])
+        with pytest.raises(FrameError):
+            decode_message(bad_ok)
+
+    def test_flags_decode_to_their_types(self):
+        assert type(decode_message(encode_message(EBit(1))).e) is int
+        ok = decode_message(encode_message(ResultMsg(True, Reason.OK, BitString(0, 0)))).ok
+        assert ok is True
+
+    def test_every_message_has_a_row(self):
+        # one tag per message class, and each tag's field count is its class's arity
+        classes = [HashDesc, CommitMessage, OpenMessage, SetA, EBit, IHQuery, IHResponse,
+                   TransferPayload, AbortMsg, ResultMsg]
+        assert sorted(framing.TAGS.values()) == list(range(1, 11))
+        assert set(framing.TAGS) == set(classes)
+        for cls in classes:
+            arity = len(dataclasses.fields(cls))
+            fields = [BitString(0, 0)] * arity
+            with pytest.raises(FrameError, match="fields"):
+                encode_frame(framing.TAGS[cls], fields + [BitString(0, 0)])
+            encode_frame(framing.TAGS[cls], fields)
+
+    def test_encode_refuses_unknown_class(self):
+        with pytest.raises(FrameError):
+            encode_message(object())
+
     def test_result_bit_strictness(self):
         # ok field must be exactly one bit on the wire
         msg = ResultMsg(ok=False, reason=Reason.OK, value=BitString(0, 0))
@@ -147,10 +218,28 @@ class TestFrameCodec:
             decode_message(bytes(data))
 
     def test_oversize_field_rejected(self):
-        header = bytes([framing.TAG_IH_QUERY]) + (1).to_bytes(4, "big")
+        header = bytes([framing.TAGS[IHQuery]]) + (1).to_bytes(4, "big")
         huge = (framing.MAX_FIELD_BITS + 1).to_bytes(4, "big")
         with pytest.raises(FrameError):
             decode_frame(header + huge)
+
+
+def _claim_16_fields(msg):
+    data = bytearray(encode_message(msg))
+    data[1:5] = (16).to_bytes(4, "big")
+    return bytes(data)
+
+
+# (stream, byte counts the reader may ask for before it refuses)
+_REFUSED_EARLY = [
+    (_claim_16_fields(EBit(1)), [5]),
+    (_claim_16_fields(AbortMsg(Reason.OK)), [5]),
+    (_claim_16_fields(IHQuery(BitString(3, 1))), [5]),
+    (bytes([0x7F]) + (1).to_bytes(4, "big") + bytes(5), [5]),
+    (bytes([framing.TAGS[IHQuery]]) + (1).to_bytes(4, "big")
+     + (framing.MAX_FIELD_BITS + 1).to_bytes(4, "big"), [5, 4]),
+]
+_REFUSED_EARLY_IDS = ["count-ebit", "count-abort", "count-query", "unknown-tag", "oversize-field"]
 
 
 class TestReadFrame:
@@ -165,6 +254,21 @@ class TestReadFrame:
 
         assert read_frame(read_exact) == msg
         assert not buf
+
+    @pytest.mark.parametrize("data,asked", _REFUSED_EARLY, ids=_REFUSED_EARLY_IDS)
+    def test_bad_header_refused_before_body(self, data, asked):
+        # The stream reader stops at the first bad header or field length,
+        # before it asks for anything the lying header would have it read.
+        sizes = []
+
+        def read_exact(nbytes):
+            start = sum(sizes)
+            sizes.append(nbytes)
+            return data[start : start + nbytes]
+
+        with pytest.raises(FrameError):
+            read_frame(read_exact)
+        assert sizes == asked
 
 
 class TestChannels:
@@ -260,8 +364,8 @@ class TestRunner:
             if la == lb == "B" and fa != fb
         ]
         assert len(diffs) == 1
-        assert diffs[0][0][0] == framing.TAG_E_BIT
-        assert diffs[0][1][0] == framing.TAG_E_BIT
+        assert diffs[0][0][0] == framing.TAGS[EBit]
+        assert diffs[0][1][0] == framing.TAGS[EBit]
 
     def test_wire_is_frozen(self):
         # Frozen digests of the seed-42 transcripts: a change to any frame,
@@ -352,7 +456,7 @@ def _bad_frame(kind, honest):
     if kind == "padding":
         return _PADDED
     if kind == "wrong-type":
-        return encode_message(IHResponse(0) if honest[0] == framing.TAG_E_BIT else EBit(0))
+        return encode_message(IHResponse(0) if honest[0] == framing.TAGS[EBit] else EBit(0))
     if kind == "short-query":
         return _SHORT_QUERY
     return _PEER_ABORT
@@ -493,6 +597,28 @@ class TestCLI:
         direct = json.loads(capsys.readouterr().out)
         assert doc2["value"] == direct["value"]
         assert doc2["value"] != doc["value"]
+
+    def test_config_unknown_key_exits_usage(self, tmp_path, capsys):
+        # a misspelt key fails loudly instead of running at the default
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("n = 512\nell = 8\ngama = 0.5\n")
+        assert cli.main(["commit", "--config", str(cfg)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "gama" in captured.err
+        assert captured.out == ""
+
+    def test_config_key_of_another_subcommand_accepted(self, tmp_path, capsys):
+        # `trials` belongs to attack and lemmas; commit ignores it
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("n = 512\nell = 8\nseed = 3\ntrials = 5\n")
+        assert cli.main(["commit", "--config", str(cfg)]) == cli.EXIT_OK
+        assert "accept" in capsys.readouterr().out
+
+    def test_config_file_errors_exit_usage(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n 512\n")
+        assert cli.main(["commit", "--config", str(bad)]) == cli.EXIT_USAGE
+        assert cli.main(["commit", f"--config={tmp_path / 'missing.cfg'}"]) == cli.EXIT_USAGE
 
     def test_selftest(self, capsys):
         assert cli.main(["selftest"]) == cli.EXIT_OK

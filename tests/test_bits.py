@@ -307,3 +307,89 @@ class TestLinearPlumbing:
         with pytest.raises(ValueError):
             IndexSet(10, (0, 0))
         assert IndexSet(10, range(10)).indices == tuple(range(10))
+
+
+# Per-bit reference versions of the display and parse methods, as they were
+# written before the single-pass versions.
+def to_str_ref(x):
+    return "".join("1" if x.bit(i) else "0" for i in range(x.length))
+
+
+def iter_ref(x):
+    return [(x.to_int() >> i) & 1 for i in range(x.length)]
+
+
+def from_bits_ref(bits):
+    value = length = 0
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError("bits must be 0 or 1")
+        value |= b << length
+        length += 1
+    return BitString(length, value)
+
+
+def lex_key_ref(x):
+    key = 0
+    for i in range(x.length):
+        key = (key << 1) | ((x.to_int() >> i) & 1)
+    return key
+
+
+wide_bitstrings = st.integers(0, 200).flatmap(
+    lambda n: st.integers(0, (1 << n) - 1).map(lambda v: BitString(n, v)))
+
+
+class TestLinearDisplay:
+    @given(wide_bitstrings)
+    def test_matches_reference(self, x):
+        text = to_str_ref(x)
+        assert x.to_str() == text
+        assert list(x) == iter_ref(x)
+        assert x.lex_key() == lex_key_ref(x)
+        assert BitString.from_str(text) == x
+        assert BitString.from_bits(iter_ref(x)) == from_bits_ref(iter_ref(x)) == x
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 65, 1000])
+    def test_edges(self, n):
+        for x in (BitString.zeros(n), BitString.ones(n), BitString.random(n, random.Random(n))):
+            assert x.to_str() == to_str_ref(x)
+            assert len(x.to_str()) == n
+            assert list(x) == iter_ref(x)
+            assert x.lex_key() == lex_key_ref(x)
+            assert BitString.from_str(x.to_str()) == x
+            assert BitString.from_bits(iter(x)) == x
+
+    def test_empty(self):
+        # format(0, "00b") is "0", so length 0 needs its own case
+        empty = BitString.zeros(0)
+        assert empty.to_str() == ""
+        assert list(empty) == []
+        assert empty.lex_key() == 0
+        assert BitString.from_str("") == empty
+        assert BitString.from_bits([]) == empty
+        assert repr(empty) == "BitString('')"
+
+    @pytest.mark.parametrize("text", ["1_0", " 1", "1 ", "0b1", "-1", "+1", "2", "10\n",
+                                      "١", "ab", "0x1"])
+    def test_from_str_rejects_non_binary(self, text):
+        # int(text, 2) would accept several of these or read them differently
+        with pytest.raises(ValueError):
+            BitString.from_str(text)
+
+    def test_from_bits_accepts_bools_and_rejects_others(self):
+        assert BitString.from_bits([True, False, True]) == BitString.from_str("101")
+        for bad in ([0, 2], [-1], [1, 0, 3]):
+            with pytest.raises(ValueError):
+                BitString.from_bits(bad)
+            with pytest.raises(ValueError):
+                from_bits_ref(bad)
+
+    def test_iter_yields_ints(self):
+        assert all(type(b) is int for b in BitString.from_str("0110"))
+        assert sum(BitString.ones(300)) == 300
+
+    def test_lex_key_orders_wide_strings_like_text(self):
+        rng = random.Random(5)
+        xs = [BitString.random(200, rng) for _ in range(50)]
+        assert sorted(xs, key=BitString.lex_key) == sorted(xs, key=BitString.to_str)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bsme import gf2
 from bsme.bits import BitString
 from bsme.codes import LinearCode, fuzzy_ext, fuzzy_rec
 from bsme.hashing import seed_length
@@ -77,17 +78,23 @@ class TestCodeFamilies:
             LinearCode(3, (0b011, 0b101, 0b110))  # dependent rows
 
     def test_descriptor_roundtrip(self):
+        # the descriptor is the constructor's arguments, so it rebuilds the code
         c = LinearCode.hamming_7_4()
-        back = LinearCode.from_descriptor(c.descriptor())
+        back = LinearCode(*c.descriptor())
         assert back.rows == c.rows and back.radius == c.radius
 
-    def test_random_linear(self):
+    def test_certifies_random_full_rank_rows(self):
+        # any full-rank parity rows give a certified code of the matching dimension
         rng = random.Random(4)
-        c = LinearCode.random_linear(8, 4, rng)
-        assert (c.length, c.dimension) == (8, 4)
-        assert c.d_min is not None and c.d_min >= 1
-        with pytest.raises(ValueError):
-            LinearCode.random_linear(21, 4, rng)
+        built = 0
+        while built < 5:
+            rows = tuple(rng.getrandbits(8) for _ in range(4))
+            if gf2.row_rank(rows) != 4:
+                continue
+            c = LinearCode(8, rows)
+            built += 1
+            assert (c.length, c.dimension) == (8, 4)
+            assert c.d_min == min(bin(v).count("1") for v in all_codewords(c) if v)
 
 
 class TestDecoding:

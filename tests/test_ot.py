@@ -75,7 +75,7 @@ class TestHonest:
 
     def test_candidate_subsets_cover_receiver_choice(self):
         got, _, sender, receiver, _ = run_session(PARAMS, 11, 0)
-        cands = sender.candidate_subsets()
+        cands = tuple(sender.a.select(c) for c in sender._c_rel)
         assert receiver.c_abs in cands
         assert cands[receiver._d] == receiver.c_abs
 

@@ -11,9 +11,7 @@ from bsme.source import (
     BoundedMemory,
     SourceConfig,
     adversary_store,
-    dump_pair,
     generate,
-    load_pair,
     sample_positions,
     source_word,
 )
@@ -175,25 +173,13 @@ class TestAdversaryStore:
             )
 
 
-class TestDumpLoad:
-    def test_roundtrip_views(self):
+class TestViews:
+    def test_views_differ_exactly_at_the_errors(self):
+        # both views survive byte packing, and their difference is the error set
         pair = generate(SourceConfig(n=37, alpha=0.8, delta=0.1, seed=12))
-        back = load_pair(dump_pair(pair))
-        assert back.x == pair.x
-        assert back.x_tilde == pair.x_tilde
-        assert back.error_positions == pair.error_positions
-        # the dump does not carry the support, so load assumes full entropy
-        assert back.entropy_positions == IndexSet.full(37)
-
-    def test_load_rejects_bad_lengths(self):
-        with pytest.raises(ValueError):
-            load_pair(b"\x00" * 7)
-        pair = generate(SourceConfig(n=16, seed=0))
-        data = dump_pair(pair)
-        with pytest.raises(ValueError):
-            load_pair(data + b"\x00")
-        with pytest.raises(ValueError):
-            load_pair(data[:-1])
+        for view in (pair.x, pair.x_tilde):
+            assert BitString.from_bytes(view.to_bytes(), 37) == view
+        assert IndexSet.from_mask(pair.x ^ pair.x_tilde) == pair.error_positions
 
 
 # Per-bit reference versions of the source draws, kept only here to check
