@@ -83,7 +83,7 @@ class TestCodeFamilies:
         back = LinearCode(*c.descriptor())
         assert back.rows == c.rows and back.radius == c.radius
 
-    def test_certifies_random_full_rank_rows(self):
+    def test_random_linear(self):
         # any full-rank parity rows give a certified code of the matching dimension
         rng = random.Random(4)
         built = 0

@@ -173,13 +173,24 @@ class TestAdversaryStore:
             )
 
 
-class TestViews:
-    def test_views_differ_exactly_at_the_errors(self):
+class TestDumpLoad:
+    # a pair is dumped and loaded as its two views packed to bytes
+    def test_roundtrip_views(self):
         # both views survive byte packing, and their difference is the error set
         pair = generate(SourceConfig(n=37, alpha=0.8, delta=0.1, seed=12))
         for view in (pair.x, pair.x_tilde):
             assert BitString.from_bytes(view.to_bytes(), 37) == view
         assert IndexSet.from_mask(pair.x ^ pair.x_tilde) == pair.error_positions
+
+    def test_load_rejects_bad_lengths(self):
+        pair = generate(SourceConfig(n=16, seed=0))
+        data = pair.x_tilde.to_bytes()
+        with pytest.raises(ValueError):
+            BitString.from_bytes(b"\x00" * 7, 16)
+        with pytest.raises(ValueError):
+            BitString.from_bytes(data + b"\x00", 16)
+        with pytest.raises(ValueError):
+            BitString.from_bytes(data[:-1], 16)
 
 
 # Per-bit reference versions of the source draws, kept only here to check
