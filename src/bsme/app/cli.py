@@ -88,6 +88,12 @@ def _bits_arg(text: str) -> BitString:
     return BitString.from_str(text)
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not port.isdigit():
@@ -166,13 +172,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = subs.add_parser("attack", help="run desk-scale attacks against their bounds")
     p.add_argument("--which", choices=("binding", "hiding", "offbranch", "theta", "all"),
                    default="all")
-    p.add_argument("--trials", type=int, default=300)
+    p.add_argument("--trials", type=_positive_int, default=300)
     _add_common(p)
     _apply_config(p, config)
     p.set_defaults(func=cmd_attack)
 
     p = subs.add_parser("lemmas", help="check the concentration bounds the analysis rests on")
-    p.add_argument("--trials", type=int, default=400)
+    p.add_argument("--trials", type=_positive_int, default=400)
     _add_common(p)
     _apply_config(p, config)
     p.set_defaults(func=cmd_lemmas)
@@ -294,7 +300,7 @@ def cmd_ot(args) -> int:
     if args.s0 is not None:
         secrets = (args.s0, args.s1)
     if args.listen or args.connect:
-        return _network_party(args, "ot", params)
+        return _network_party(args, "ot", params, secrets)
     outcome = run_ot_session(
         params, choice=args.choice, secrets=secrets, seed=args.seed,
         transport=args.transport,
@@ -320,7 +326,7 @@ def cmd_ot(args) -> int:
     return EXIT_OK if outcome.completed else EXIT_REJECTED
 
 
-def _network_party(args, protocol: str, params) -> int:
+def _network_party(args, protocol: str, params, secrets=None) -> int:
     if args.role is None:
         raise ValueError("--listen/--connect need --role")
     if args.listen and args.connect:
@@ -332,7 +338,6 @@ def _network_party(args, protocol: str, params) -> int:
         if protocol == "commit":
             out = commit_party(args.role, chan, params, args.seed, value=args.value)
         else:
-            secrets = (args.s0, args.s1) if args.s0 is not None else None
             out = ot_party(args.role, chan, params, args.seed,
                            choice=args.choice, secrets=secrets)
     finally:

@@ -18,7 +18,6 @@ matches, so overload there is silent miscorrection rather than failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import gf2
 from .bits import BitString, concat_all
@@ -51,20 +50,12 @@ class LinearCode:
         self.dimension = length - len(rows)
 
         if rows:
+            # Gray-code walk over the kernel basis: one XOR per codeword.
             basis = gf2.nullspace(rows, length)
-            d_min = length + 1
-            for msk in range(1, 1 << len(basis)):
-                word = 0
-                mm = msk
-                i = 0
-                while mm:
-                    if mm & 1:
-                        word ^= basis[i]
-                    mm >>= 1
-                    i += 1
-                w = word.bit_count()
-                if w < d_min:
-                    d_min = w
+            word, d_min = 0, length + 1
+            for i in range(1, 1 << len(basis)):
+                word ^= basis[(i & -i).bit_length() - 1]
+                d_min = min(d_min, word.bit_count())
             self.d_min = d_min if d_min <= length else None
         else:
             self.d_min = 1  # the full space: distinct words at distance 1
@@ -75,16 +66,12 @@ class LinearCode:
             raise ValueError("radius exceeds unique-decoding limit")
         self.radius = radius
 
-        table: dict[int, int] = {0: 0}
-        for w in range(1, radius + 1):
-            for positions in combinations(range(length), w):
-                e = 0
-                for p in positions:
-                    e |= 1 << p
-                s = self._syndrome_int(e)
-                if s in table:
-                    raise ValueError("syndrome collision inside decoding radius")
-                table[s] = e
+        table: dict[int, int] = {}
+        for e in gf2.low_weight(length, radius):
+            s = gf2.mat_vec(rows, e)
+            if s in table:
+                raise ValueError("syndrome collision inside decoding radius")
+            table[s] = e
         self._table = table
 
     # constructions ------------------------------------------------------
@@ -116,12 +103,6 @@ class LinearCode:
 
     # operations -------------------------------------------------------
 
-    def _syndrome_int(self, v: int) -> int:
-        s = 0
-        for i, row in enumerate(self.rows):
-            s |= ((row & v).bit_count() & 1) << i
-        return s
-
     @property
     def syndrome_len(self) -> int:
         return len(self.rows)
@@ -129,7 +110,7 @@ class LinearCode:
     def syndrome(self, x: BitString) -> BitString:
         if x.length != self.length:
             raise ValueError("input length mismatch")
-        return BitString(self.syndrome_len, self._syndrome_int(x.to_int()))
+        return BitString(self.syndrome_len, gf2.mat_vec(self.rows, x.to_int()))
 
     def decode_syndrome(self, s: BitString) -> BitString | None:
         """Minimum-weight error with syndrome ``s`` inside the radius, else None."""

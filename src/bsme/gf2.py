@@ -5,6 +5,8 @@ A vector over GF(2)^n is a Python int whose bit i is coordinate i.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 
 class Echelon:
     """Incremental row-echelon basis keyed by pivot (highest set bit)."""
@@ -49,32 +51,40 @@ def row_rank(rows) -> int:
 
 
 def nullspace(rows, n: int) -> list[int]:
-    """Basis of ``{x : row . x = 0 for every row}`` inside GF(2)^n."""
-    # Reduce to RREF with tracked pivot columns, then read off free-variable
-    # kernel vectors.
-    rref: list[int] = []
-    pivots: list[int] = []
+    """Basis of ``{x : row . x = 0 for every row}`` inside GF(2)^n.
+
+    One vector per free coordinate, in ascending order: that coordinate set,
+    the other free ones clear, and each pivot coordinate fixed by forward
+    substitution as in `solve_affine_pair`.
+    """
+    ech = Echelon()
     for r in rows:
-        for row, p in zip(rref, pivots):
-            if (r >> p) & 1:
-                r ^= row
-        if r:
-            p = r.bit_length() - 1
-            # eliminate the new pivot from previous rows
-            rref = [row ^ r if (row >> p) & 1 else row for row in rref]
-            rref.append(r)
-            pivots.append(p)
-    pivot_set = set(pivots)
+        ech.add(r)
+    pivots = sorted(ech.rows.items())
     basis = []
     for free in range(n):
-        if free in pivot_set:
+        if free in ech.rows:
             continue
-        vec = 1 << free
-        for row, p in zip(rref, pivots):
-            if (row >> free) & 1:
-                vec |= 1 << p
-        basis.append(vec)
+        x = 1 << free
+        for p, row in pivots:
+            x |= ((row & x).bit_count() & 1) << p
+        basis.append(x)
     return basis
+
+
+def mat_vec(rows, v: int) -> int:
+    """The product M.v: bit i is the parity of ``rows[i] & v``."""
+    out = 0
+    for i, row in enumerate(rows):
+        out |= ((row & v).bit_count() & 1) << i
+    return out
+
+
+def low_weight(n: int, radius: int):
+    """Every vector of GF(2)^n of weight at most ``radius``, lightest first."""
+    for w in range(radius + 1):
+        for positions in combinations(range(n), w):
+            yield sum(1 << p for p in positions)
 
 
 def solve_affine_pair(queries: list[int], responses: list[int], n: int) -> tuple[int, int]:

@@ -12,13 +12,21 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 
 from .bits import BitString, IndexSet
 from .codes import LinearCode
+from .gf2 import low_weight
 from .hashing import ToeplitzHash, seed_length, strong_extract
-from .infomath import binary_entropy, floor_tol
+from .infomath import (
+    Distribution,
+    binary_entropy,
+    cond_min_entropy,
+    floor_tol,
+    statistical_distance,
+    subset_size_for,
+)
 from .ihash import Querier, solve_pair
 
 __all__ = [
@@ -86,18 +94,13 @@ class EnumerationReport:
         )
 
 
+def _deposit(bits: int, positions) -> int:
+    """Scatter bit i of ``bits`` to bit ``positions[i]`` of the result."""
+    return sum(((bits >> i) & 1) << pos for i, pos in enumerate(positions))
+
+
 # --------------------------------------------------------------------------
 # commitment binding
-
-
-def _ball(center: int, k: int, radius: int):
-    yield center
-    for w in range(1, radius + 1):
-        for positions in combinations(range(k), w):
-            e = 0
-            for p in positions:
-                e |= 1 << p
-            yield center ^ e
 
 
 def binding_attack(
@@ -127,7 +130,8 @@ def binding_attack(
         center = rng.getrandbits(k)
         seen: dict[int, int] = {}
         collided = False
-        for w in _ball(center, k, radius):
+        for e in low_weight(k, radius):
+            w = center ^ e
             dig = g(BitString(k, w)).to_int()
             if dig in seen and seen[dig] != w:
                 collided = True
@@ -180,24 +184,14 @@ def hiding_distance(
     if v0.length != m or v1.length != m:
         raise ValueError("values must have m bits")
 
-    # Conditioning: which coordinates of the k-bit sample are pinned by the
-    # stored bits (noise-free adversary view of those positions).
-    pinned: dict[int, int] = {}
-    stored_idx = {pos: i for i, pos in enumerate(stored_positions)}
-    for coord, pos in enumerate(a_positions):
-        if pos in stored_idx:
-            pinned[coord] = stored_value.bit(stored_idx[pos])
-    free_coords = [c for c in range(k) if c not in pinned]
-    base = 0
-    for c, bit in pinned.items():
-        base |= bit << c
-
-    samples = []
-    for fv in range(1 << len(free_coords)):
-        v = base
-        for i, c in enumerate(free_coords):
-            v |= ((fv >> i) & 1) << c
-        samples.append(v)
+    # Conditioning: the coordinates of the k-bit sample that the adversary
+    # stored are pinned to its (noise-free) stored bits.
+    common = a_positions.intersect(stored_positions)
+    pinned = stored_value.restrict(common.positions_within(stored_positions))
+    pinned_coords = common.positions_within(a_positions).indices
+    free_coords = [c for c in range(k) if c not in pinned_coords]
+    base = _deposit(pinned.to_int(), pinned_coords)
+    samples = [base | _deposit(fv, free_coords) for fv in range(1 << len(free_coords))]
     weight = 1.0 / len(samples)
 
     u_len = seed_length(k, m)
@@ -206,11 +200,11 @@ def hiding_distance(
     if n_transcripts * 2 > 40_000_000:
         raise RegimeError("transcript space too large to enumerate")
 
-    probs0 = [0.0] * n_transcripts
-    probs1 = [0.0] * n_transcripts
-    # class accumulators for Hmin(X_A | stored, g, digest)
-    class_total: dict[int, float] = {}
-    class_max: dict[int, float] = {}
+    # Each transcript (g, u, digest, masked value) is packed into one int key;
+    # the joint of sample and class (g, digest) gives Hmin(X_A | stored, g, digest).
+    probs0: dict[int, float] = defaultdict(float)
+    probs1: dict[int, float] = defaultdict(float)
+    by_class: dict[tuple[int, int], float] = {}
 
     # Extractor outputs do not depend on g; tabulate them once.
     ext_table = [
@@ -221,26 +215,21 @@ def hiding_distance(
         for x in samples
     ]
 
-    seed_w = 1.0 / ((1 << g_len) * (1 << u_len))
+    g_w = weight / (1 << g_len)
+    tw = g_w / (1 << u_len)
     int0, int1 = v0.to_int(), v1.to_int()
     for g_seed in range(1 << g_len):
         g = ToeplitzHash(k, digest_len, BitString(g_len, g_seed))
-        for xi, x in enumerate(samples):
+        for x, row in zip(samples, ext_table):
             dig = g(BitString(k, x)).to_int()
-            cls = g_seed * (1 << digest_len) + dig
-            class_total[cls] = class_total.get(cls, 0.0) + weight
-            class_max[cls] = max(class_max.get(cls, 0.0), weight)
-            row = ext_table[xi]
-            for u_seed in range(1 << u_len):
-                y = row[u_seed]
+            by_class[(x, g_seed << digest_len | dig)] = g_w
+            for u_seed, y in enumerate(row):
                 idx = (((g_seed << u_len) | u_seed) << digest_len | dig) << m
-                probs0[idx | (y ^ int0)] += weight * seed_w
-                probs1[idx | (y ^ int1)] += weight * seed_w
+                probs0[idx | (y ^ int0)] += tw
+                probs1[idx | (y ^ int1)] += tw
 
-    distance = 0.5 * sum(abs(a - b) for a, b in zip(probs0, probs1))
-    h_min = min(
-        -math.log2(class_max[c] / class_total[c]) for c in class_total
-    )
+    distance = statistical_distance(Distribution(probs0), Distribution(probs1))
+    h_min = cond_min_entropy(Distribution(by_class))
     bound = 0.5 * 2.0 ** ((m - h_min) / 2.0)
     return EnumerationReport(
         name="hiding",
@@ -276,39 +265,29 @@ def ot_offbranch_distance(
     else:
         groups = [list(range(1 << ell))]
 
-    # Enumerate (y, seed, p) jointly; compare against uniform y times the
-    # (seed, p) marginal, averaged over the adversary's conditioning classes.
+    # Per conditioning class, compare the joint (y, seed, p) against uniform
+    # y times the (seed, p) marginal; keys pack (p, seed, y) into one int.
     distance = 0.0
     h_min = math.inf
     for group in groups:
         w = 1.0 / len(group)
-        joint: dict[tuple[int, int, int], float] = {}
-        marg: dict[tuple[int, int], float] = {}
-        p_class_tot: dict[int, float] = {}
-        p_class_max: dict[int, float] = {}
+        sw = w / (1 << s_len)
+        uw = sw / (1 << out_len)
+        joint: dict[int, float] = defaultdict(float)
+        ideal: dict[int, float] = defaultdict(float)
+        x_and_p: dict[tuple[int, int], float] = {}
         for x in group:
             xs = BitString(ell, x)
-            p = 0
-            for i, row in enumerate(code.rows):
-                p |= ((row & x).bit_count() & 1) << i
-            p_class_tot[p] = p_class_tot.get(p, 0.0) + w
-            p_class_max[p] = max(p_class_max.get(p, 0.0), w)
+            p = code.syndrome(xs).to_int()
+            x_and_p[(x, p)] = w
             for seed in range(1 << s_len):
                 y = strong_extract(xs, BitString(s_len, seed), out_len).to_int()
-                sw = w / (1 << s_len)
-                joint[(y, seed, p)] = joint.get((y, seed, p), 0.0) + sw
-                marg[(seed, p)] = marg.get((seed, p), 0.0) + sw
-        d = 0.0
-        keys = set(joint) | {
-            (y, s, p) for (s, p) in marg for y in range(1 << out_len)
-        }
-        for y, s, p in keys:
-            d += abs(joint.get((y, s, p), 0.0) - marg[(s, p)] / (1 << out_len))
-        distance += 0.5 * d / len(groups)
-        h_min = min(
-            h_min,
-            min(-math.log2(p_class_max[p] / p_class_tot[p]) for p in p_class_tot),
-        )
+                key = ((p << s_len) | seed) << out_len
+                joint[key | y] += sw
+                for y_any in range(1 << out_len):
+                    ideal[key | y_any] += uw
+        distance += statistical_distance(Distribution(joint), Distribution(ideal)) / len(groups)
+        h_min = min(h_min, cond_min_entropy(Distribution(x_and_p)))
     bound = 0.5 * 2.0 ** ((out_len - h_min) / 2.0)
     return EnumerationReport(
         name="ot-offbranch",
@@ -370,8 +349,6 @@ def ih_theta_attack(m: int, t: int, trials: int, seed: int = 0) -> AttackReport:
 
 def lemma_birthday(n: int, ell: int, trials: int, seed: int = 0) -> AttackReport:
     """Rate of |A & B| < ell for independent k-subsets, k = subset_size_for."""
-    from .infomath import subset_size_for
-
     k = subset_size_for(n, ell)
     if k > n:
         raise ValueError("k exceeds n; choose a larger source")
@@ -489,13 +466,8 @@ def lemma_entropy_hd(n: int, alpha: float, delta: float, seed: int = 0) -> tuple
     rng = random.Random(seed)
     support_size = math.ceil(alpha * n)
     support = sorted(rng.sample(range(n), support_size))
-    mass: dict[int, float] = {}
     w = 1.0 / (1 << support_size)
-    for fv in range(1 << support_size):
-        word = 0
-        for i, pos in enumerate(support):
-            word |= ((fv >> i) & 1) << pos
-        mass[word] = w
+    mass = {_deposit(fv, support): w for fv in range(1 << support_size)}
     radius = floor_tol(delta * n)
     best_center_mass = 0.0
     for y in range(1 << n):

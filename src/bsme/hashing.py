@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 
 from .bits import BitString
+from .gf2 import mat_vec
 
 __all__ = ["ToeplitzHash", "strong_extract", "seed_length", "random_seed"]
 
@@ -49,11 +50,7 @@ class ToeplitzHash:
     def __call__(self, x: BitString) -> BitString:
         if x.length != self.in_len:
             raise ValueError("input length mismatch")
-        v = x.to_int()
-        out = 0
-        for i, row in enumerate(self._rows):
-            out |= ((row & v).bit_count() & 1) << i
-        return BitString(self.out_len, out)
+        return BitString(self.out_len, mat_vec(self._rows, x.to_int()))
 
     def row(self, i: int) -> int:
         return self._rows[i]

@@ -49,6 +49,18 @@ class SetupAbort(Exception):
         super().__init__(reason.label)
 
 
+def _decode_pair(dense: DenseCode, w0: BitString, w1: BitString) -> tuple[IndexSet, IndexSet]:
+    """The candidate subsets (relative to A) that the hashed pair names.
+
+    Aborts when either word is not a valid encoding, or when both name the
+    same subset with different copy indices: that branch pair offers no hiding.
+    """
+    d0, d1 = dense.decode(w0), dense.decode(w1)
+    if d0 is None or d1 is None or d0[0] == d1[0]:
+        raise SetupAbort(Reason.INVALID_ENCODING)
+    return d0[0], d1[0]
+
+
 class OTSender(_Phased):
     def __init__(self, params: OTParams, s0: BitString, s1: BitString, rng: random.Random):
         super().__init__()
@@ -84,18 +96,8 @@ class OTSender(_Phased):
     def finish_setup(self) -> tuple[IndexSet, IndexSet]:
         """Decode both candidate subsets (relative to A); abort on bad encodings."""
         self._advance("hashing", "setup-done")
-        w0, w1 = self.querier.outcome().pair
-        d0 = self._dense.decode(w0)
-        d1 = self._dense.decode(w1)
-        if d0 is None or d1 is None:
-            raise SetupAbort(Reason.INVALID_ENCODING)
-        c0, c1 = d0[0], d1[0]
-        if c0 == c1:
-            # Both encodings name the same subset (copy indices differ);
-            # that branch pair offers no hiding, so refuse it.
-            raise SetupAbort(Reason.INVALID_ENCODING)
-        self._c_rel = (c0, c1)
-        return c0, c1
+        self._c_rel = _decode_pair(self._dense, *self.querier.outcome().pair)
+        return self._c_rel
 
     def transfer(self, e: int) -> TransferPayload:
         p = self.params
@@ -132,12 +134,10 @@ class OTReceiver(_Phased):
         self._w_strategy = w_strategy
         self.b: IndexSet | None = None
         self._xt_b: BitString | None = None
-        self._a: IndexSet | None = None
         self.c_abs: IndexSet | None = None
         self.respondent: Respondent | None = None
         self._d: int | None = None
         self._e: int | None = None
-        self._c_rel: tuple[IndexSet, IndexSet] | None = None
 
     def transmit(self, pair: SourcePair) -> None:
         p = self.params
@@ -151,7 +151,6 @@ class OTReceiver(_Phased):
         self._advance("transmitted", "hashing")
         if a.ground != p.n or len(a) != p.k:
             raise SetupAbort(Reason.MALFORMED_MESSAGE)
-        self._a = a
         overlap = a.intersect(self.b)
         if len(overlap) < p.ell:
             raise SetupAbort(Reason.SMALL_INTERSECTION)
@@ -174,11 +173,7 @@ class OTReceiver(_Phased):
         """Decode both candidates, remember d, and emit e = choice xor d."""
         self._advance("hashing", "setup-done")
         out = self.respondent.outcome()
-        d0 = self._dense.decode(out.w0)
-        d1 = self._dense.decode(out.w1)
-        if d0 is None or d1 is None or d0[0] == d1[0]:
-            raise SetupAbort(Reason.INVALID_ENCODING)
-        self._c_rel = (d0[0], d1[0])
+        _decode_pair(self._dense, out.w0, out.w1)
         self._d = out.d
         self._e = self.choice ^ out.d
         return self._e

@@ -620,6 +620,59 @@ class TestCLI:
         assert cli.main(["commit", "--config", str(bad)]) == cli.EXIT_USAGE
         assert cli.main(["commit", f"--config={tmp_path / 'missing.cfg'}"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["lemmas", "--trials", "0"],
+        ["attack", "--trials", "0"],
+        ["attack", "--which", "theta", "--trials", "-3"],
+    ])
+    def test_nonpositive_trials_exit_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "positive integer" in captured.err
+        assert captured.out == ""
+
+    def test_network_ot_parties(self, monkeypatch, capsys):
+        # --listen/--connect over the two ends of a socket pair, one party per thread
+        import json
+        params = derive_ot_params(n=1024, ell=14, code=LinearCode.hamming_7_4())
+        s0 = BitString.zeros(params.payload_len).to_str()
+        s1 = BitString.ones(params.payload_len).to_str()
+        ends = dict(zip(("A", "B"), channel.socketpair_channels()))
+        monkeypatch.setattr(cli, "listen_channel", lambda host, port, label: ends[label])
+        monkeypatch.setattr(cli, "connect_channel", lambda host, port, label: ends[label])
+        argv = ["ot", "--n", "1024", "--ell", "14", "--code", "hamming", "--seed", "3",
+                "--choice", "1", "--s0", s0, "--s1", s1, "--json"]
+        codes = {}
+
+        def party(role, flag):
+            codes[role] = cli.main(argv + [flag, "127.0.0.1:9", "--role", role])
+
+        threads = [threading.Thread(target=party, args=("sender", "--listen")),
+                   threading.Thread(target=party, args=("receiver", "--connect"))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == {"sender": cli.EXIT_OK, "receiver": cli.EXIT_OK}
+        # the two JSON documents may share a line when the threads' prints interleave
+        text, docs, pos = capsys.readouterr().out, [], 0
+        decoder = json.JSONDecoder()
+        while text[pos:].strip():
+            pos += len(text[pos:]) - len(text[pos:].lstrip())
+            doc, pos = decoder.raw_decode(text, pos)
+            docs.append(doc)
+        sender, receiver = sorted(docs, key=lambda d: "choice" in d)
+        assert set(sender) == {"completed", "reason", "secrets"}
+        assert set(receiver) == {"completed", "reason", "output", "choice"}
+        assert sender["secrets"] == [s0, s1]
+        direct = runner.run_ot_session(
+            params, choice=1, secrets=(BitString.from_str(s0), BitString.from_str(s1)), seed=3)
+        assert direct.completed
+        assert receiver["output"] == direct.output.to_str() == s1
+
     def test_selftest(self, capsys):
         assert cli.main(["selftest"]) == cli.EXIT_OK
         out = capsys.readouterr().out

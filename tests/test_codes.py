@@ -11,7 +11,7 @@ from bsme.hashing import seed_length
 
 def all_codewords(code: LinearCode):
     for v in range(1 << code.length):
-        if code._syndrome_int(v) == 0:
+        if code.syndrome(BitString(code.length, v)).to_int() == 0:
             yield v
 
 
@@ -122,7 +122,7 @@ class TestDecoding:
             assert c.decode_syndrome(BitString(3, s)) is not None
         for i, j in itertools.combinations(range(7), 2):
             e = (1 << i) | (1 << j)
-            err = c.decode_syndrome(BitString(3, c._syndrome_int(e)))
+            err = c.decode_syndrome(c.syndrome(BitString(7, e)))
             assert err is not None and err.to_int() != e
 
     def test_non_perfect_code_detects_weight_two(self):

@@ -102,6 +102,22 @@ class TestHiding:
         assert rep.min_entropy == pytest.approx(0.0)
         assert not rep.passed
 
+    def test_stored_positions_on_another_ground_refused(self):
+        with pytest.raises(ValueError, match="ground"):
+            hiding_distance(
+                n=12, k=6, a_positions=HIDE_A,
+                stored_positions=IndexSet(13, (0, 1, 2, 3)),
+                stored_value=BitString.zeros(4), digest_len=2, m=1,
+            )
+
+    def test_stored_value_shorter_than_positions_refused(self):
+        with pytest.raises(ValueError, match="ground"):
+            hiding_distance(
+                n=12, k=6, a_positions=HIDE_A,
+                stored_positions=IndexSet(12, (0, 1, 2, 3)),
+                stored_value=BitString.zeros(3), digest_len=2, m=1,
+            )
+
     def test_regime_refusal(self):
         with pytest.raises(RegimeError):
             hiding_distance(n=13, k=6, a_positions=IndexSet(13, range(6)),
