@@ -33,8 +33,8 @@ from .infomath import (
 )
 from .hashing import ToeplitzHash, random_seed, seed_length, strong_extract
 from .ihash import DependentQueryError, IHOutcome, Querier, Respondent
-from .ot import OTReceiver, OTSender, SetupAbort, TransferPayload
-from .reasons import Reason
+from .ot import OTReceiver, OTSender, TransferPayload
+from .reasons import Reason, SetupAbort
 from .source import BoundedMemory, SourceConfig, SourcePair, adversary_store, generate
 from .subsets import DenseCode, subset_rank, subset_unrank
 

@@ -149,9 +149,9 @@ def listen_channel(host: str, port: int, label: str) -> StreamChannel:
         conn, _addr = srv.accept()
     finally:
         srv.close()
-    return StreamChannel(conn, label, transcript=[])
+    return StreamChannel(conn, label)
 
 
 def connect_channel(host: str, port: int, label: str) -> StreamChannel:
     sock = socket.create_connection((host, port), timeout=RECV_TIMEOUT)
-    return StreamChannel(sock, label, transcript=[])
+    return StreamChannel(sock, label)

@@ -96,8 +96,8 @@ def _positive_int(text: str) -> int:
 
 def _addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not port.isdigit():
-        raise argparse.ArgumentTypeError("address must be HOST:PORT")
+    if not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise argparse.ArgumentTypeError("address must be HOST:PORT with a port in 0-65535")
     return host or "127.0.0.1", int(port)
 
 

@@ -11,9 +11,10 @@ the same broadcast and the same default inputs locally.
 
 Each party's message order is written once, as straight-line code.  A frame
 that does not parse, a frame of the wrong type, a peer's abort, or a check of
-the party's own that refuses the peer's data ends the party in one place,
-``_play``: it sends the party's closing frame (if any), reads until the peer
-closes, and reports the reason.
+the party's own that refuses the peer's data (a `SetupAbort` carrying its
+reason) ends the party in one place, ``_play``: it sends the party's closing
+frame (if any), reads until the peer closes, and reports the reason.  Any
+other exception is a bug and propagates to the caller.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from dataclasses import dataclass
 
 from ..bits import BitString
 from ..commit import CommitMessage, Committer, OpenMessage, Verifier
-from ..hashing import ToeplitzHash
-from ..ihash import DependentQueryError
+from ..hashing import ToeplitzHash, seed_length
 from ..infomath import CommitParams, OTParams
-from ..ot import OTReceiver, OTSender, SetupAbort, TransferPayload
-from ..reasons import Reason
+from ..ot import OTReceiver, OTSender, TransferPayload
+from ..reasons import Reason, SetupAbort
 from ..source import SourceConfig, SourcePair, generate
-from .channel import memory_pair, socketpair_channels
+from .channel import ChannelClosed, memory_pair, socketpair_channels
 from .framing import (
     AbortMsg,
     EBit,
@@ -135,10 +135,6 @@ def _play(chan, party, pair: SourcePair, steps, failed: dict) -> dict:
         reason, reply = abort.reason, abort.reply
     except SetupAbort as abort:
         reason, reply = abort.reason, AbortMsg(abort.reason)
-    except DependentQueryError:
-        reason, reply = Reason.DEPENDENT_QUERY, AbortMsg(Reason.DEPENDENT_QUERY)
-    except ValueError:  # a protocol object refused the peer's data
-        reason, reply = Reason.MALFORMED_MESSAGE, _MALFORMED
     if reply is not None:
         _send(chan, reply)
         # The peer may still have frames in flight; read until it sees the
@@ -157,7 +153,10 @@ def _play(chan, party, pair: SourcePair, steps, failed: dict) -> dict:
 
 def _committer(chan, party: Committer) -> dict:
     p = party.params
-    g = ToeplitzHash(p.k, p.digest_len, _expect(chan, HashDesc).diag)
+    diag = _expect(chan, HashDesc).diag
+    if diag.length != seed_length(p.k, p.digest_len):
+        raise _Abort(Reason.MALFORMED_MESSAGE, _MALFORMED)
+    g = ToeplitzHash(p.k, p.digest_len, diag)
     _send(chan, party.make_commitment(g))
     _send(chan, party.open())
     result = _expect(chan, ResultMsg)
@@ -269,9 +268,12 @@ def _run_pair(side_a, side_b, chan_a, chan_b) -> tuple[dict, dict]:
     tb.join(JOIN_TIMEOUT)
     if ta.is_alive() or tb.is_alive():
         raise RuntimeError("session deadlocked")
-    for name in ("a", "b"):
-        if isinstance(results[name], BaseException):
-            raise results[name]
+    # A party that raised closed its channel, so its peer's ChannelClosed is
+    # only the consequence: raise the cause.
+    errors = sorted((r for r in results.values() if isinstance(r, BaseException)),
+                    key=lambda exc: isinstance(exc, ChannelClosed))
+    if errors:
+        raise errors[0]
     return results["a"], results["b"]  # type: ignore[return-value]
 
 

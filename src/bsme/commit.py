@@ -105,14 +105,13 @@ class Verifier(_Phased):
 
     def choose_hash(self) -> ToeplitzHash:
         p = self.params
-        if self.hash is not None:
-            raise RuntimeError("hash already chosen")
+        self._advance("transmitted", "hashed")
         self.hash = ToeplitzHash.random(p.k, p.digest_len, self._rng)
         return self.hash
 
     def receive_commitment(self, msg: CommitMessage) -> None:
         p = self.params
-        self._advance("transmitted", "committed")
+        self._advance("hashed", "committed")
         ok = (
             msg.masked.length == p.m
             and msg.digest.length == p.digest_len
@@ -126,8 +125,6 @@ class Verifier(_Phased):
     def verify(self, opening: OpenMessage) -> VerifyResult:
         p = self.params
         self._advance("committed", "opened")
-        if self.hash is None:
-            raise RuntimeError("hash was never chosen")
         msg = self._commitment
         if self._malformed or opening.w.length != p.k or opening.value.length != p.m:
             return VerifyResult(False, Reason.MALFORMED_MESSAGE)

@@ -59,6 +59,8 @@ def nullspace(rows, n: int) -> list[int]:
     """
     ech = Echelon()
     for r in rows:
+        if r >> n:
+            raise ValueError(f"row {r:#x} has bits at or above n={n}")
         ech.add(r)
     pivots = sorted(ech.rows.items())
     basis = []

@@ -18,16 +18,16 @@ from dataclasses import dataclass
 
 from . import gf2
 from .bits import BitString
+from .reasons import ProtocolStateError, Reason, SetupAbort
 
 __all__ = ["IHOutcome", "Querier", "Respondent", "DependentQueryError", "solve_pair"]
 
 
-class DependentQueryError(ValueError):
+class DependentQueryError(SetupAbort):
     """A query was linearly dependent on earlier ones (or zero)."""
 
-
-class ProtocolStateError(RuntimeError):
-    pass
+    def __init__(self):
+        super().__init__(Reason.DEPENDENT_QUERY)
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,12 @@ class Respondent:
         if self.finished:
             raise ProtocolStateError("all rounds are complete")
         if query.length != self.m:
-            raise ValueError("query length mismatch")
+            raise SetupAbort(Reason.MALFORMED_MESSAGE)
         q = query.to_int()
         bit = (q & self._w).bit_count() & 1
         r = self._ech.reduce((q << 1) | bit)
         if not r >> 1:
-            raise DependentQueryError("query depends on earlier queries")
+            raise DependentQueryError()
         self._ech.insert(r)
         return bit
 

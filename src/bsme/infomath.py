@@ -142,8 +142,10 @@ class Distribution:
 
 
 def statistical_distance(p: Distribution, q: Distribution) -> float:
-    outcomes = set(p.support) | set(q.support)
-    return 0.5 * sum(abs(p.prob(v) - q.prob(v)) for v in outcomes)
+    p_probs, q_probs = p._probs, q._probs
+    shared = sum(abs(pv - q_probs.get(v, 0.0)) for v, pv in p_probs.items())
+    q_only = sum(qv for v, qv in q_probs.items() if v not in p_probs)
+    return 0.5 * (shared + q_only)
 
 
 def min_entropy(p: Distribution) -> float:
@@ -192,9 +194,12 @@ def commit_feasible(s: float, delta: float) -> Feasibility:
 
 
 def ot_feasible_gv(s: float, delta: float) -> Feasibility:
-    """Transfer with a distance-optimal code family needs h(2*delta) < s."""
-    if not 0.0 <= delta < 0.25:
-        raise ValueError("delta must lie in [0, 1/4)")
+    """Transfer with a distance-optimal code family needs h(2*delta) < s; no
+    positive-rate code corrects a relative distance 2*delta >= 1/2."""
+    if not 0.0 <= delta <= 0.5:
+        raise ValueError("delta must lie in [0, 1/2]")
+    if delta >= 0.25:
+        return Feasibility(False, s - 1.0)
     margin = s - binary_entropy(2.0 * delta)
     return Feasibility(margin > 0.0, margin)
 

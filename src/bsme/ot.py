@@ -26,7 +26,7 @@ from .codes import fuzzy_ext, fuzzy_rec
 from .hashing import random_seed
 from .infomath import OTParams
 from .ihash import Querier, Respondent
-from .reasons import Reason, _Phased
+from .reasons import Reason, SetupAbort, _Phased
 from .source import SourcePair, sample_positions
 from .subsets import DenseCode
 
@@ -41,12 +41,6 @@ class TransferPayload:
     z1: BitString
     r1: BitString
     p1: BitString
-
-
-class SetupAbort(Exception):
-    def __init__(self, reason: Reason):
-        self.reason = reason
-        super().__init__(reason.label)
 
 
 def _decode_pair(dense: DenseCode, w0: BitString, w1: BitString) -> tuple[IndexSet, IndexSet]:
@@ -115,13 +109,7 @@ class OTSender(_Phased):
 
 
 class OTReceiver(_Phased):
-    def __init__(
-        self,
-        params: OTParams,
-        choice: int,
-        rng: random.Random,
-        w_strategy=None,
-    ):
+    def __init__(self, params: OTParams, choice: int, rng: random.Random):
         super().__init__()
         if choice not in (0, 1):
             raise ValueError("choice must be a bit")
@@ -129,15 +117,11 @@ class OTReceiver(_Phased):
         self.choice = choice
         self._rng = rng
         self._dense = DenseCode(params.k, params.ell, params.m)
-        # Test/adversary hook: callable(dense, overlap_rel, rng) -> BitString
-        # choosing the interactive-hashing input W directly.
-        self._w_strategy = w_strategy
         self.b: IndexSet | None = None
         self._xt_b: BitString | None = None
         self.c_abs: IndexSet | None = None
         self.respondent: Respondent | None = None
         self._d: int | None = None
-        self._e: int | None = None
 
     def transmit(self, pair: SourcePair) -> None:
         p = self.params
@@ -154,16 +138,8 @@ class OTReceiver(_Phased):
         overlap = a.intersect(self.b)
         if len(overlap) < p.ell:
             raise SetupAbort(Reason.SMALL_INTERSECTION)
-        if self._w_strategy is not None:
-            overlap_rel = overlap.positions_within(a)
-            w = self._w_strategy(self._dense, overlap_rel, self._rng)
-            decoded = self._dense.decode(w)
-            if decoded is not None:
-                self.c_abs = a.select(decoded[0])
-        else:
-            picked = IndexSet(p.n, sorted(self._rng.sample(overlap.indices, p.ell)))
-            self.c_abs = picked
-            w = self._dense.encode(picked.positions_within(a), self._dense.random_copy(self._rng))
+        self.c_abs = IndexSet(p.n, sorted(self._rng.sample(overlap.indices, p.ell)))
+        w = self._dense.encode(self.c_abs.positions_within(a), self._dense.random_copy(self._rng))
         self.respondent = Respondent(p.m, w)
 
     def respond(self, query: BitString) -> int:
@@ -175,8 +151,7 @@ class OTReceiver(_Phased):
         out = self.respondent.outcome()
         _decode_pair(self._dense, out.w0, out.w1)
         self._d = out.d
-        self._e = self.choice ^ out.d
-        return self._e
+        return self.choice ^ out.d
 
     def receive_payload(self, payload: TransferPayload) -> BitString | None:
         """Recover the chosen secret, or None when recovery fails."""

@@ -1,5 +1,6 @@
-"""Outcome reason codes shared by the protocols and the wire format, and the
-phase guard both protocols' parties share."""
+"""Outcome reason codes shared by the protocols and the wire format, the one
+exception a party raises when it refuses the peer's data, and the phase guard
+both protocols' parties share."""
 
 from __future__ import annotations
 
@@ -22,6 +23,18 @@ class Reason(IntEnum):
         return self.name.lower().replace("_", "-")
 
 
+class SetupAbort(Exception):
+    """A party refused the peer's data; the session ends with `reason`."""
+
+    def __init__(self, reason: Reason):
+        self.reason = reason
+        super().__init__(reason.label)
+
+
+class ProtocolStateError(RuntimeError):
+    """A party method was called out of protocol order: a caller's bug."""
+
+
 class _Phased:
     """Refuses a party method called out of protocol order."""
 
@@ -30,5 +43,5 @@ class _Phased:
 
     def _advance(self, expected: str, nxt: str):
         if self._phase != expected:
-            raise RuntimeError(f"phase is {self._phase!r}, expected {expected!r}")
+            raise ProtocolStateError(f"phase is {self._phase!r}, expected {expected!r}")
         self._phase = nxt

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import random
+import shlex
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -526,11 +528,42 @@ class TestHostilePeer:
             assert out["reason"] is Reason.MALFORMED_MESSAGE
             assert sent[-1] == AbortMsg(Reason.MALFORMED_MESSAGE)
 
+    STRETCH_CASES = [
+        ("committer", 0), ("verifier", 0), ("verifier", 1),
+        *(("receiver", step) for step in (0, 1, M // 2, M - 1, M)),
+    ]
+
+    @pytest.mark.parametrize("role,step", STRETCH_CASES)
+    def test_stretched_fields_end_in_malformed(self, role, step):
+        # Every field one bit longer (a mask's ground grows by one).  The
+        # honest frames after it let a verifier holding a bad commitment
+        # reach the opening.
+        honest = _honest_peer_frames(role)
+        tag, fields = decode_frame(honest[step])
+        stretched = encode_frame(tag, [BitString(f.length + 1, f.to_int()) for f in fields])
+        out, sent = self._run(role, honest[:step] + [stretched] + honest[step + 1:])
+        assert out["reason"] is Reason.MALFORMED_MESSAGE
+        if role == "verifier" or (role, step) == ("receiver", self.M):
+            assert sent[-1] == ResultMsg(False, Reason.MALFORMED_MESSAGE, BitString.zeros(0))
+        else:
+            assert sent[-1] == AbortMsg(Reason.MALFORMED_MESSAGE)
+
     def test_refused_hash_aborts_committer(self):
         # A well-formed HashDesc whose diagonal does not fit k and the digest length
         out, sent = self._run("committer", [encode_message(HashDesc(BitString(3, 5)))])
         assert out["reason"] is Reason.MALFORMED_MESSAGE
         assert sent == [AbortMsg(Reason.MALFORMED_MESSAGE)]
+
+    @pytest.mark.parametrize("cls,method", [("OTSender", "take_response"),
+                                            ("OTReceiver", "respond")])
+    def test_internal_error_propagates(self, monkeypatch, cls, method):
+        # a ValueError inside a party is a bug, not the peer's malformed message
+        def broken(*args):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(getattr(runner, cls), method, broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            runner.run_ot_session(OT_PARAMS, seed=HOSTILE_SEED)
 
     def test_dependent_query_aborts_receiver(self):
         honest = _honest_peer_frames("receiver")
@@ -551,6 +584,35 @@ class TestCLI:
         code = cli.main(["feasibility", "--alpha", "0.5", "--gamma", "0.45",
                          "--delta", "0.2", "--n", "4096"])
         assert code == cli.EXIT_BOUND
+
+    def test_feasibility_past_quarter_delta_infeasible(self, capsys):
+        import json
+        code = cli.main(["feasibility", "--alpha", "1", "--gamma", "0.25",
+                         "--delta", "0.3", "--json"])
+        assert code == cli.EXIT_BOUND
+        assert json.loads(capsys.readouterr().out)["ot_gv"]["feasible"] is False
+
+    def test_port_out_of_range_is_usage_error(self, monkeypatch):
+        def no_socket(*args):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(cli, "listen_channel", no_socket)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["ot", "--n", "1024", "--ell", "14", "--code", "hamming",
+                      "--listen", "127.0.0.1:99999", "--role", "sender"])
+        assert info.value.code == cli.EXIT_USAGE
+
+    def test_readme_examples(self, capsys):
+        # each `$ bsme ...` block of the README's command-line section prints
+        # exactly the lines under it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        examples = [block.splitlines() for block in section.split("```")[1::2]]
+        examples = [lines[1:] for lines in examples if lines[1].startswith("$ bsme ")]
+        assert len(examples) == 3
+        for command, *expected in examples:
+            assert cli.main(shlex.split(command)[2:]) == cli.EXIT_OK
+            assert capsys.readouterr().out.splitlines() == expected, command
 
     def test_commit_session(self, capsys):
         assert cli.main(["commit", "--n", "512", "--ell", "8",

@@ -197,8 +197,8 @@ class TestStateMachine:
         ver = Verifier(PARAMS, rng)
         com.transmit(pair)
         ver.transmit(pair)
-        # the verifier never ran choose_hash
+        # the verifier never ran choose_hash, so it takes no commitment
         g = ToeplitzHash.random(PARAMS.k, PARAMS.digest_len, rng)
-        ver.receive_commitment(com.make_commitment(g))
+        msg = com.make_commitment(g)
         with pytest.raises(RuntimeError):
-            ver.verify(com.open())
+            ver.receive_commitment(msg)

@@ -68,6 +68,10 @@ class TestNullspace:
         basis = gf2.nullspace([], 3)
         assert sorted(span_of(basis)) == list(range(8))
 
+    def test_row_wider_than_n_refused(self):
+        with pytest.raises(ValueError):
+            gf2.nullspace([0b100001], 3)
+
 
 class TestSolveAffinePair:
     @given(st.integers(2, 7), st.data())

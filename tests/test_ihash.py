@@ -14,6 +14,7 @@ from bsme.ihash import (
     Respondent,
     solve_pair,
 )
+from bsme.reasons import Reason, SetupAbort
 
 
 def run_session(m: int, w: BitString, rng: random.Random):
@@ -150,8 +151,9 @@ class TestStateMachine:
         with pytest.raises(ValueError):
             Respondent(3, BitString(2, 0))
         r = Respondent(2, BitString(2, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(SetupAbort) as info:
             r.respond(BitString(3, 1))
+        assert info.value.reason is Reason.MALFORMED_MESSAGE
         with pytest.raises(ProtocolStateError):
             r.outcome()
         r.respond(BitString(2, 1))

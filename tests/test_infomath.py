@@ -127,8 +127,12 @@ class TestFeasibility:
         f = ot_feasible_gv(0.75, 0.05)
         assert f.feasible
         assert f.margin == pytest.approx(0.75 - binary_entropy(0.1), abs=1e-12)
+        # no positive-rate code corrects relative distance 2*delta >= 1/2
+        for delta in (0.25, 0.3, 0.5):
+            f = ot_feasible_gv(0.75, delta)
+            assert not f.feasible and f.margin == pytest.approx(0.75 - 1.0, abs=1e-12)
         with pytest.raises(ValueError):
-            ot_feasible_gv(0.75, 0.25)
+            ot_feasible_gv(0.75, 0.6)
 
     @given(st.floats(0.01, 1.0))
     def test_thresholds_invert_the_conditions(self, s):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bsme.bits import BitString, IndexSet
 from bsme.codes import LinearCode
+from bsme.ihash import Respondent
 from bsme.infomath import derive_ot_params
 from bsme.ot import OTReceiver, OTSender, SetupAbort, TransferPayload
 from bsme.reasons import Reason
@@ -18,7 +19,7 @@ CLEAN = derive_ot_params(n=1024, ell=8, code=LinearCode.trivial(1),
                          delta=0.0, xi=0.0)
 
 
-def run_session(params, seed, choice, secrets=None, noisy=True, w_strategy=None):
+def run_session(params, seed, choice, secrets=None, noisy=True):
     rng_s = random.Random(f"{seed}:s")
     rng_r = random.Random(f"{seed}:r")
     pair = generate(SourceConfig(n=params.n, alpha=params.alpha,
@@ -29,7 +30,7 @@ def run_session(params, seed, choice, secrets=None, noisy=True, w_strategy=None)
         secrets = (BitString.random(params.payload_len, rng_i),
                    BitString.random(params.payload_len, rng_i))
     sender = OTSender(params, secrets[0], secrets[1], rng_s)
-    receiver = OTReceiver(params, choice, rng_r, w_strategy=w_strategy)
+    receiver = OTReceiver(params, choice, rng_r)
     sender.transmit(pair)
     receiver.transmit(pair)
     receiver.receive_positions(sender.begin_setup())
@@ -71,7 +72,10 @@ class TestHonest:
         assert secrets == secrets1
         assert got0 == secrets[0] and got1 == secrets[1]
         assert r0._d == r1._d
-        assert r0._e != r1._e
+        # same pads and seeds on each branch, secrets swapped between them
+        assert (pay0.r0, pay0.p0, pay0.r1, pay0.p1) == (pay1.r0, pay1.p0, pay1.r1, pay1.p1)
+        assert pay0.z0 ^ pay1.z0 == secrets[0] ^ secrets[1]
+        assert pay0.z1 ^ pay1.z1 == secrets[0] ^ secrets[1]
 
     def test_candidate_subsets_cover_receiver_choice(self):
         got, _, sender, receiver, _ = run_session(PARAMS, 11, 0)
@@ -105,14 +109,23 @@ class TestAborts:
             receiver.receive_positions(IndexSet(PARAMS.n, range(PARAMS.k - 1)))
         assert info.value.reason is Reason.MALFORMED_MESSAGE
 
-    def test_invalid_encoding_via_w_strategy(self):
-        # force W into the rejected tail of the dense encoding
-        def bad_w(dense, overlap_rel, rng):
-            return BitString(dense.m, (1 << dense.m) - 1)
-
-        with pytest.raises(SetupAbort) as info:
-            run_session(PARAMS, 21, 0, w_strategy=bad_w)
-        assert info.value.reason is Reason.INVALID_ENCODING
+    def test_invalid_encoding_from_swapped_respondent(self):
+        # a receiver whose IH input lies in the rejected tail of the dense encoding
+        pair = generate(SourceConfig(n=PARAMS.n, alpha=PARAMS.alpha, delta=PARAMS.delta,
+                                     seed="21:src"))
+        secrets = (BitString.zeros(PARAMS.payload_len),) * 2
+        sender = OTSender(PARAMS, *secrets, random.Random("21:s"))
+        receiver = OTReceiver(PARAMS, 0, random.Random("21:r"))
+        sender.transmit(pair)
+        receiver.transmit(pair)
+        receiver.receive_positions(sender.begin_setup())
+        receiver.respondent = Respondent(PARAMS.m, BitString(PARAMS.m, (1 << PARAMS.m) - 1))
+        while not sender.querier.finished:
+            sender.take_response(receiver.respond(sender.next_query()))
+        for party in (sender, receiver):
+            with pytest.raises(SetupAbort) as info:
+                party.finish_setup()
+            assert info.value.reason is Reason.INVALID_ENCODING
 
     def test_malformed_payload(self):
         got, secrets, sender, receiver, payload = run_session(PARAMS, 23, 0)
