@@ -107,9 +107,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value defaults file; flags win")
 
 
-def _add_rates(sub: argparse.ArgumentParser, gamma_default: float) -> None:
+def _add_rates(sub: argparse.ArgumentParser, gamma_default: float, ell_default: int) -> None:
     sub.add_argument("--n", type=int, default=4096, help="broadcast length in bits")
-    sub.add_argument("--ell", type=int, default=16, help="overlap requirement")
+    sub.add_argument("--ell", type=int, default=ell_default, help="overlap requirement")
     sub.add_argument("--alpha", type=float, default=1.0, help="source entropy rate")
     sub.add_argument("--gamma", type=float, default=gamma_default, help="adversary storage rate")
     sub.add_argument("--delta", type=float, default=0.0, help="noise rate between views")
@@ -136,14 +136,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("feasibility", help="report achievable regimes for given rates")
-    _add_rates(p, gamma_default=0.25)
+    _add_rates(p, gamma_default=0.25, ell_default=16)
     p.add_argument("--eps-prime", type=float, default=2.0**-32)
     _add_common(p)
     _apply_config(p, config)
     p.set_defaults(func=cmd_feasibility)
 
     p = subs.add_parser("commit", help="run a commitment session")
-    _add_rates(p, gamma_default=0.25)
+    _add_rates(p, gamma_default=0.25, ell_default=16)
     p.add_argument("--zeta", type=float, default=0.05, help="distance-check slack rate")
     p.add_argument("--tau", type=float, default=None, help="sampling slack rate")
     p.add_argument("--omega", type=float, default=None, help="digest rate")
@@ -154,7 +154,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_commit)
 
     p = subs.add_parser("ot", help="run an oblivious transfer session")
-    _add_rates(p, gamma_default=0.0)
+    # 14 is the C05 point: Hamming(7,4) blocks fit it at the default noise.
+    _add_rates(p, gamma_default=0.0, ell_default=14)
     p.add_argument("--xi", type=float, default=0.05, help="decoding slack rate")
     p.add_argument("--zeta-ih", type=float, default=0.5, help="hash truncation rate")
     p.add_argument("--tau", type=float, default=None, help="sampling slack rate")

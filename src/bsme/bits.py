@@ -211,7 +211,14 @@ class IndexSet:
 
     @classmethod
     def full(cls, ground: int) -> "IndexSet":
-        return cls(ground, range(ground))
+        """Every index of ``[0, ground)``: increasing by construction, so
+        the checks of ``__init__`` are skipped."""
+        if ground < 0:
+            raise ValueError("ground must be non-negative")
+        full = object.__new__(cls)
+        object.__setattr__(full, "_ground", ground)
+        object.__setattr__(full, "_indices", tuple(range(ground)))
+        return full
 
     @classmethod
     def from_mask(cls, mask: BitString) -> "IndexSet":

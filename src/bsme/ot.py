@@ -158,13 +158,11 @@ class OTReceiver(_Phased):
         p = self.params
         self._advance("setup-done", "transferred")
         branch = (payload.z0, payload.r0, payload.p0), (payload.z1, payload.r1, payload.p1)
-        z, seed, helper = branch[self._d]
-        if (
-            z.length != p.payload_len
-            or seed.length != p.ell + p.payload_len - 1
-            or helper.length != p.p_len
-        ):
+        # Both branches, so that whether the peer is refused does not depend on d.
+        lengths = (p.payload_len, p.ell + p.payload_len - 1, p.p_len)
+        if any(f.length != n for fields in branch for f, n in zip(fields, lengths)):
             raise SetupAbort(Reason.MALFORMED_MESSAGE)
+        z, seed, helper = branch[self._d]
         c_in_b = self.c_abs.positions_within(self.b)
         y = fuzzy_rec(self._xt_b.restrict(c_in_b), seed, helper, p.payload_len, p.code)
         if y is None:

@@ -7,20 +7,25 @@ exactly ``floor(delta*n)`` positions chosen by the error model, except that
 a clamped adversarial callback may flip fewer.
 
 Stream contract: a seed fixes every output, so ``generate`` consumes its
-generator in a fixed order.  ``sample_positions`` draws the support with one
-``rng.sample`` call, then ``source_word`` takes one 32-bit generator word per
-support position, in increasing position order, and uses the word's top bit
-as the source bit; the random error model then draws its positions with a
-second ``rng.sample``.  At full support (alpha = 1) the support is every
-position, but ``rng.sample`` still shuffles all n of them: skipping the
-shuffle would shift every later draw and so change every seeded broadcast,
-and with it which seeds the existing seeded checks see.
+generator in a fixed order.  ``sample_positions`` advances the generator
+exactly as one ``rng.sample(range(n), k)`` call does, then ``source_word``
+takes one 32-bit generator word per support position, in increasing position
+order, and uses the word's top bit as the source bit; the random error model
+then draws its positions with a second ``sample_positions``.  Below full
+support ``sample_positions`` is that ``rng.sample`` call.  At full support
+(k = n, alpha = 1) the support is every position, so the shuffle's order is
+never used: ``sample_positions`` replays only the generator words the shuffle
+would consume, without building it, and needs n < 2**32 for that.  Skipping
+those words instead would shift every later draw and so change every seeded
+broadcast, and with it which seeds the existing seeded checks see.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -71,13 +76,48 @@ def sample_positions(n: int, k: int, rng: random.Random) -> IndexSet:
     """Uniformly random k-subset of [0, n)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    drawn = rng.sample(range(n), k)
     if k == n:
-        # The shuffle is drawn only to keep the seeded stream in step.
-        del drawn
+        _skip_full_shuffle(n, rng)
         return IndexSet.full(n)
+    drawn = rng.sample(range(n), k)
     drawn.sort()
     return IndexSet(n, drawn)
+
+
+# Array type code of an unsigned 32-bit word on this host.
+_WORD32 = next(code for code in "IL" if array(code).itemsize == 4)
+
+
+def _skip_full_shuffle(n: int, rng: random.Random) -> None:
+    """Advance ``rng`` exactly as ``rng.sample(range(n), n)`` would.
+
+    That shuffle calls ``_randbelow(t)`` for t = n, n-1, ..., 1.  Each try
+    takes one 32-bit word w and accepts when ``w >> (32 - b) < t``, where
+    b = ``t.bit_length()``; that is, when ``w < t << (32 - b)``.  With t
+    calls left each takes at least one word, so the next t words are consumed
+    for certain: draw them with one ``getrandbits(32 * t)``, low word first
+    as in ``source_word``, replay the tests on them, and repeat.
+
+    ``limit`` is ``t << (32 - b)`` and ``step`` is ``1 << (32 - b)``.  The
+    limit lies in ``[2**31, 2**32)`` until t falls to a power of two minus
+    one; there b drops by one, so both double.
+    """
+    if n >= 1 << 32:
+        raise ValueError("a full-support draw needs n < 2**32")
+    step = 1 << (32 - n.bit_length())
+    limit = n * step
+    left = n
+    while left:
+        words = array(_WORD32, rng.getrandbits(32 * left).to_bytes(4 * left, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        for w in words:
+            if w < limit:
+                limit -= step
+                if limit < 1 << 31:
+                    limit <<= 1
+                    step <<= 1
+        left = limit // step
 
 
 # Byte value -> ASCII digit of its top bit.

@@ -485,7 +485,7 @@ class TestHostilePeer:
     ]
 
     @staticmethod
-    def _run(role, incoming):
+    def _run(role, incoming, seed=HOSTILE_SEED, choice=None):
         """Run `role` against a peer that sends `incoming` and then closes;
         return the party's result and the messages it sent."""
         transcript = []
@@ -495,9 +495,9 @@ class TestHostilePeer:
         def run():
             try:
                 if role in ("committer", "verifier"):
-                    result["out"] = runner.commit_party(role, mine, COMMIT_PARAMS, HOSTILE_SEED)
+                    result["out"] = runner.commit_party(role, mine, COMMIT_PARAMS, seed)
                 else:
-                    result["out"] = runner.ot_party(role, mine, OT_PARAMS, HOSTILE_SEED)
+                    result["out"] = runner.ot_party(role, mine, OT_PARAMS, seed, choice)
             except BaseException as exc:
                 result["exc"] = exc
 
@@ -547,6 +547,25 @@ class TestHostilePeer:
             assert sent[-1] == ResultMsg(False, Reason.MALFORMED_MESSAGE, BitString.zeros(0))
         else:
             assert sent[-1] == AbortMsg(Reason.MALFORMED_MESSAGE)
+
+    @pytest.mark.parametrize("field", ["z", "r", "p"])
+    @pytest.mark.parametrize("choice", [0, 1])
+    @pytest.mark.parametrize("seed", [HOSTILE_SEED, 15])  # d = 1 and d = 0
+    def test_stretched_unchosen_branch_ends_in_malformed(self, seed, choice, field):
+        # A receiver that refused only a bad chosen branch would complete on
+        # a bad unchosen one, and so tell the sender d and with it the choice.
+        out = runner.run_ot_session(OT_PARAMS, choice=choice, seed=seed)
+        honest = [frame for label, frame in out.transcript if label == "A"]
+        e = next(m.e for m in (decode_message(f) for label, f in out.transcript if label == "B")
+                 if isinstance(m, EBit))
+        name = f"{field}{1 - (choice ^ e)}"
+        payload = decode_message(honest[self.M])
+        f = getattr(payload, name)
+        stretched = dataclasses.replace(payload, **{name: BitString(f.length + 1, f.to_int())})
+        out, sent = self._run("receiver", honest[:self.M] + [encode_message(stretched)],
+                              seed=seed, choice=choice)
+        assert out["reason"] is Reason.MALFORMED_MESSAGE
+        assert sent[-1] == ResultMsg(False, Reason.MALFORMED_MESSAGE, BitString.zeros(0))
 
     def test_refused_hash_aborts_committer(self):
         # A well-formed HashDesc whose diagonal does not fit k and the digest length
@@ -601,6 +620,12 @@ class TestCLI:
             cli.main(["ot", "--n", "1024", "--ell", "14", "--code", "hamming",
                       "--listen", "127.0.0.1:99999", "--role", "sender"])
         assert info.value.code == cli.EXIT_USAGE
+
+    def test_bare_ot_completes(self, capsys):
+        # the transfer's own ell default derives a stock code at the default noise
+        import json
+        assert cli.main(["ot", "--json"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["completed"] is True
 
     def test_readme_examples(self, capsys):
         # each `$ bsme ...` block of the README's command-line section prints

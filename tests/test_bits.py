@@ -186,6 +186,12 @@ class TestIndexSet:
         assert len(IndexSet(3)) == 0
         assert len(IndexSet(0)) == 0
 
+    def test_full_matches_checked_construction(self):
+        for g in range(71):
+            assert IndexSet.full(g) == IndexSet(g, range(g))
+        with pytest.raises(ValueError):
+            IndexSet.full(-1)
+
     @given(index_sets())
     def test_mask_roundtrip(self, s):
         assert IndexSet.from_mask(s.to_mask()) == s

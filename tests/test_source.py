@@ -233,6 +233,74 @@ class TestStreamEquivalence:
         assert fast.getstate() == ref.getstate()
 
 
+# Each side of every power-of-two boundary up to 2^17, where the shuffle's
+# per-call word width changes, and the commitment bench's n.
+ADVANCE_SIZES = sorted(
+    {m for b in range(1, 18) for m in ((1 << b) - 1, 1 << b, (1 << b) + 1)} | {65536}
+)
+
+
+def _untemper(y: int) -> int:
+    """Inverse of the Mersenne Twister's output tempering."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(4):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(2):
+        x = y ^ (x >> 11)
+    return x
+
+
+def generator_opening_with(words: list[int]) -> random.Random:
+    """A ``random.Random`` whose next 32-bit outputs are ``words``."""
+    rng = random.Random(0)
+    version, state, gauss = rng.getstate()
+    mt = list(state[:624])
+    mt[:len(words)] = map(_untemper, words)
+    rng.setstate((version, (*mt, 0), gauss))
+    return rng
+
+
+class TestFullSupportAdvance:
+    """At full support the shuffle is replayed, never built: the generator
+    must end exactly where ``rng.sample(range(n), n)`` leaves it."""
+
+    @pytest.mark.parametrize("n", ADVANCE_SIZES)
+    def test_state_matches_shuffle(self, n):
+        for seed in range(3):
+            for prior in (0, 3):
+                fast, ref = random.Random(seed), random.Random(seed)
+                for rng in (fast, ref):
+                    for _ in range(prior):
+                        rng.sample(range(50), 7)
+                        rng.getrandbits(45)
+                assert sample_positions(n, n, fast) == IndexSet.full(n)
+                ref.sample(range(n), n)
+                assert fast.getstate() == ref.getstate(), (seed, prior)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1000, 65535, 65536])
+    def test_word_at_threshold_is_refused(self, n):
+        # A try for t positions left accepts w < t << (32 - b).  Random words
+        # hit that threshold with odds 2^-32, so plant them: the threshold for
+        # t = n (refused), one below it (accepted), the threshold for t = n - 1.
+        def threshold(t):
+            return t << (32 - t.bit_length()) if t else 0
+
+        words = [threshold(n), threshold(n) - 1, threshold(n - 1)]
+        fast, ref = (generator_opening_with(words) for _ in range(2))
+        assert sample_positions(n, n, fast) == IndexSet.full(n)
+        ref.sample(range(n), n)
+        assert fast.getstate() == ref.getstate()
+        assert generator_opening_with(words).getrandbits(32) == words[0]
+
+    def test_refuses_n_past_word_range(self):
+        with pytest.raises(ValueError):
+            sample_positions(1 << 32, 1 << 32, random.Random(0))
+
+
 def stream_digest(n: int, alpha: float, delta: float, model: str) -> str:
     h = hashlib.sha256()
     for seed in range(3):
