@@ -48,8 +48,8 @@ class MemoryChannel(_Recorder):
 
     def __init__(
         self,
-        inbox: queue.Queue,
-        outbox: queue.Queue,
+        inbox: queue.SimpleQueue,
+        outbox: queue.SimpleQueue,
         label: str,
         transcript: list | None,
         lock: threading.Lock,
@@ -79,8 +79,7 @@ class MemoryChannel(_Recorder):
 
 def memory_pair(transcript: list | None = None) -> tuple[MemoryChannel, MemoryChannel]:
     lock = threading.Lock()
-    ab: queue.Queue = queue.Queue()
-    ba: queue.Queue = queue.Queue()
+    ab, ba = queue.SimpleQueue(), queue.SimpleQueue()
     a = MemoryChannel(inbox=ba, outbox=ab, label="A", transcript=transcript, lock=lock)
     b = MemoryChannel(inbox=ab, outbox=ba, label="B", transcript=transcript, lock=lock)
     return a, b

@@ -1,14 +1,19 @@
 """Interactive hashing: m-1 rounds of linear queries pin the respondent's
 m-bit input to a pair of strings without revealing which one it holds.
 
-The querier sends uniformly random queries, each linearly independent of the
-ones before it (drawn by rejection sampling); the respondent answers with the
-inner product of the query and its input W.  After m-1 rounds the affine
-solution set of the transcript has exactly two elements, published in
-lexicographic order (bit 0 compared first).  Over the querier's randomness
-the partner string of a fixed W is uniform over the remaining strings, and a
-transcript never distinguishes its two solutions: both produce identical
-responses to every query.
+The querier sends triangular queries, the query form of Naor, Ostrovsky,
+Venkatesan and Yung (J. Cryptology 1998): query i has its top bit at
+position m-1-i and uniform bits below it, so the queries are linearly
+independent by construction.  The respondent answers with the inner product
+of the query and its input W.  After m-1 rounds the affine solution set of
+the transcript has exactly two elements, published in lexicographic order
+(bit 0 compared first).  Bit 0 is the one position that holds no pivot, so
+the two always differ there and ``w0`` always has bit 0 clear; over the
+querier's randomness the partner of a fixed W is uniform over the 2**(m-1)
+strings whose bit 0 differs from W's.  A transcript never distinguishes its
+two solutions: both produce identical responses to every query.  The
+respondent accepts any independent m-bit query and refuses a dependent one,
+so a hostile querier cannot make it answer a combination of earlier queries.
 """
 
 from __future__ import annotations
@@ -63,10 +68,12 @@ def _solve_rows(ech: gf2.Echelon, m: int) -> tuple[BitString, BitString]:
 
 
 class Querier:
-    """Query side of interactive hashing (sends m-1 independent queries).
+    """Query side of interactive hashing (sends m-1 triangular queries).
 
-    Its basis holds each query reduced against the earlier ones, shifted up
-    one bit, with the matching combination of responses in bit 0.
+    Query i is ``(1 << p) | getrandbits(p)`` with ``p = m - 1 - i``: one
+    draw per round, no rejection.  Its basis holds each query shifted up one
+    bit with its response in bit 0; the pivots are all distinct, so every
+    query enters the basis unreduced.
     """
 
     def __init__(self, m: int, rng: random.Random):
@@ -75,11 +82,7 @@ class Querier:
         self.m = m
         self._rng = rng
         self._ech = gf2.Echelon()
-        self._pending: int | None = None  # reduced row awaiting its response
-
-    @property
-    def rounds_done(self) -> int:
-        return self._ech.rank
+        self._pending: int | None = None  # row awaiting its response
 
     @property
     def finished(self) -> bool:
@@ -90,12 +93,10 @@ class Querier:
             raise ProtocolStateError("previous response still pending")
         if self.finished:
             raise ProtocolStateError("all rounds are complete")
-        while True:
-            candidate = self._rng.getrandbits(self.m)
-            r = self._ech.reduce(candidate << 1)
-            if r >> 1:
-                break
-        self._pending = r
+        p = self.m - 1 - self._ech.rank
+        candidate = (1 << p) | self._rng.getrandbits(p)
+        # the pivot is new, so this is one lookup returning the row unchanged
+        self._pending = self._ech.reduce(candidate << 1)
         return BitString(self.m, candidate)
 
     def take_response(self, bit: int) -> None:
@@ -103,7 +104,7 @@ class Querier:
             raise ProtocolStateError("no query is pending")
         if bit not in (0, 1):
             raise ValueError("response must be a bit")
-        # bit 0 already holds the responses of the rows the query was reduced by
+        # the query entered unreduced, so bit 0 of the pending row is clear
         self._ech.insert(self._pending ^ bit)
         self._pending = None
 

@@ -287,6 +287,12 @@ class TestChannels:
         with pytest.raises(channel.ChannelClosed):
             b.recv()
 
+    def test_memory_recv_times_out(self, monkeypatch):
+        monkeypatch.setattr(channel, "RECV_TIMEOUT", 0.01)
+        _, b = channel.memory_pair()
+        with pytest.raises(channel.ChannelClosed, match="timed out"):
+            b.recv()
+
     def test_empty_send_refused(self):
         a, _ = channel.memory_pair()
         with pytest.raises(ValueError):
@@ -385,7 +391,7 @@ class TestRunner:
             "17052b04041ef6949f5531b0628b860614acb46063edea7f1228d45391ddf8f9")
         assert len(ot.transcript) == 450
         assert digest(ot.transcript) == (
-            "552095e842308c5707025164b8900a287eacfc2eac2b32eaf700978f25cd46b0")
+            "a7ccecf87ec353860c122bf08d59374b8976c76bd5756da8afd0e4c82318d121")
 
     def test_cross_host_parties_agree(self):
         # drive commit_party on both ends of one socket pair

@@ -76,12 +76,15 @@ class TestNullspace:
 class TestSolveAffinePair:
     @given(st.integers(2, 7), st.data())
     def test_matches_brute_force(self, m, data):
+        # each query is an index into the complement of the span so far, so
+        # every independent sequence is reachable and no draw is rejected
         rng_queries = []
         ech = gf2.Echelon()
         while len(rng_queries) < m - 1:
-            q = data.draw(st.integers(1, (1 << m) - 1))
-            if ech.add(q):
-                rng_queries.append(q)
+            outside = [v for v in range(1 << m) if ech.reduce(v)]
+            q = outside[data.draw(st.integers(0, len(outside) - 1))]
+            ech.add(q)
+            rng_queries.append(q)
         w = data.draw(st.integers(0, (1 << m) - 1))
         responses = [(q & w).bit_count() & 1 for q in rng_queries]
         x0, x1 = gf2.solve_affine_pair(rng_queries, responses, m)

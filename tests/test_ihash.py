@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -124,7 +126,7 @@ class TestStateMachine:
         q.take_response(0)
         with pytest.raises(ProtocolStateError):
             q.outcome()
-        assert q.rounds_done == 1
+        assert not q.finished
         q.next_query()
         q.take_response(1)
         assert q.finished
@@ -163,6 +165,43 @@ class TestStateMachine:
     def test_querier_needs_two_rounds_min(self):
         with pytest.raises(ValueError):
             Querier(1, random.Random(0))
+
+
+class _WidthLog:
+    """Generator stand-in: answers ``getrandbits`` from ``draw`` and logs
+    each width asked for."""
+
+    def __init__(self, draw):
+        self._draw = draw
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return self._draw(k)
+
+
+class TestTriangularQueries:
+    @pytest.mark.parametrize("m", [2, 5, 252])
+    def test_query_shape(self, m):
+        rng = _WidthLog(random.Random(m).getrandbits)
+        _, _, queries, _ = recorded_session(m, BitString.random(m, random.Random(1)), rng)
+        assert [q.bit_length() for q in queries] == list(range(m, 1, -1))
+        assert rng.widths == list(range(m - 1, 0, -1))
+
+    def test_partner_uniform_off_bit_0(self):
+        # every query sequence at m=4: 8 * 4 * 2 choices of the bits below
+        # the pivots, each sent against every input W
+        m = 4
+        for w in range(1 << m):
+            partners = Counter()
+            for lows in itertools.product(range(8), range(4), range(2)):
+                rng = _WidthLog(lambda k, draws=iter(lows): next(draws))
+                q, r, _, _ = recorded_session(m, BitString(m, w), rng)
+                qo, ro = q.outcome(), r.outcome()
+                assert qo.pair == ro.pair
+                assert qo.w0.to_int() & 1 == 0
+                partners[ro.pair[1 - ro.d].to_int()] += 1
+            assert partners == {v: 8 for v in range(1 << m) if (v ^ w) & 1}
 
 
 class TestHiding:
@@ -206,7 +245,7 @@ class TestReducedRowsSolve:
             expect = tuple(sorted((BitString(m, a), BitString(m, b)), key=BitString.lex_key))
             assert q.outcome().pair == expect
             assert r.outcome().pair == expect
-            assert q.rounds_done == m - 1
+            assert len(queries) == m - 1
 
     def test_query_order_does_not_change_pair(self):
         rng = random.Random(11)

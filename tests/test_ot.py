@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bsme.app import framing, runner
 from bsme.bits import BitString, IndexSet
 from bsme.codes import LinearCode
 from bsme.ihash import Respondent
@@ -58,8 +59,9 @@ class TestHonest:
 
     def test_round_count_matches_encoding_length(self):
         assert PARAMS.m == 2 * PARAMS.ell * math.ceil(math.log2(PARAMS.k))
-        got, _, sender, _, _ = run_session(PARAMS, 3, 0)
-        assert sender.querier.rounds_done == PARAMS.m - 1
+        out = runner.run_ot_session(PARAMS, seed=3)
+        queries = [f for _, f in out.transcript if f[0] == framing.TAGS[framing.IHQuery]]
+        assert len(queries) == PARAMS.m - 1
 
     def test_noise_free_code(self):
         got, secrets, _, _, _ = run_session(CLEAN, 5, 1, noisy=False)
