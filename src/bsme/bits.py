@@ -33,9 +33,6 @@ def scatter_digits(ground: int, positions: Sequence[int], digits: bytes) -> int:
     return int(buf[::-1], 2)
 
 
-_DIGIT = {0: "0", 1: "1"}  # bools hash as 0 and 1, so they are accepted too
-
-
 class BitString:
     """Immutable fixed-length bit string backed by a Python integer."""
 
@@ -46,8 +43,9 @@ class BitString:
             raise ValueError("length must be non-negative")
         if value < 0 or value >> length:
             raise ValueError("value has bits set outside the declared length")
-        object.__setattr__(self, "_length", length)
-        object.__setattr__(self, "_value", value)
+        # the slots' own setters, since __setattr__ refuses every write
+        _set_length(self, length)
+        _set_value(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitString is immutable")
@@ -65,13 +63,6 @@ class BitString:
     @classmethod
     def random(cls, length: int, rng: random.Random) -> "BitString":
         return cls(length, rng.getrandbits(length) if length else 0)
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        try:
-            return cls.from_str("".join(map(_DIGIT.__getitem__, bits)))
-        except KeyError:
-            raise ValueError("bits must be 0 or 1") from None
 
     @classmethod
     def from_str(cls, text: str) -> "BitString":
@@ -110,10 +101,6 @@ class BitString:
         if not 0 <= i < self._length:
             raise IndexError("bit index out of range")
         return (self._value >> i) & 1
-
-    def lex_key(self) -> int:
-        """Integer that orders bit strings lexicographically, bit 0 first."""
-        return int("0" + self.to_str(), 2)
 
     # operations ----------------------------------------------------------
 
@@ -177,6 +164,10 @@ class BitString:
         if self._length <= 64:
             return f"BitString('{self.to_str()}')"
         return f"BitString(length={self._length}, value=0x{self._value:x})"
+
+
+_set_length = BitString._length.__set__
+_set_value = BitString._value.__set__
 
 
 def concat_all(parts: Sequence[BitString]) -> BitString:
@@ -263,12 +254,6 @@ class IndexSet:
                 raise ValueError(f"index {i} is not in the superset")
             rel.append(j)
         return IndexSet(len(sup), rel)
-
-    def select(self, relative: "IndexSet") -> "IndexSet":
-        """Absolute indices picked out of this set by relative positions."""
-        if relative.ground != len(self._indices):
-            raise ValueError("relative ground must equal this set's size")
-        return IndexSet(self._ground, [self._indices[j] for j in relative])
 
     def __contains__(self, i: int) -> bool:
         j = bisect_left(self._indices, i)

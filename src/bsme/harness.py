@@ -5,13 +5,20 @@ from the relevant formula at run time (never hard-coded), and a pass flag
 meaning "the observation stayed within the bound".  Monte Carlo bounds get a
 2x slack factor and bounds with unknown leading constants get 4x; exact
 enumeration results are compared without slack.  Oversized regimes raise
-:class:`RegimeError` instead of sampling their way to a misleading answer.
+:class:`RegimeError` instead of sampling their way to a misleading answer,
+and a Monte Carlo check asked for fewer than one trial raises ValueError.
+
+The random subsets of the Monte Carlo checks (theta targets, lemma samples
+and error sets) come from the block sampler ``_uniform_subset``, not from
+``random.sample``: the same seed gives other subsets than ``random.sample``
+would, with the same uniform distribution.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -94,6 +101,37 @@ class EnumerationReport:
         )
 
 
+def _uniform_subset(n: int, k: int, rng: random.Random) -> set[int]:
+    """A uniform k-subset of ``range(n)``, for ``n <= 2**32``.
+
+    Each pass draws one 32-bit word per value still missing with a single
+    ``getrandbits``, keeps the top ``(n - 1).bit_length()`` bits of each
+    word with one shift and mask of the whole draw, and drops values of n or
+    more, all in C.  A pass adds at most as many values as are missing, so
+    the result is the first k distinct values of an iid uniform stream,
+    hence a uniform k-subset.  A pass's words are taken as a set, so the
+    byte order that reads them does not change the result.
+    """
+    if not 0 <= k <= n <= 1 << 32:
+        raise ValueError("need 0 <= k <= n <= 2**32")
+    bits = (n - 1).bit_length()
+    shift = 32 - bits
+    # bits [32i, 32i + bits) set: where the shift leaves word i's top bits
+    mask = int.from_bytes(((1 << bits) - 1).to_bytes(4, "little") * k, "little")
+    seen: set[int] = set()
+    while len(seen) < k:
+        need = k - len(seen)
+        top = (rng.getrandbits(32 * need) >> shift) & mask
+        words = memoryview(top.to_bytes(4 * need, sys.byteorder)).cast("I")
+        seen.update(filter(n.__gt__, words))
+    return seen
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("need at least one trial")
+
+
 def _deposit(bits: int, positions) -> int:
     """Scatter bit i of ``bits`` to bit ``positions[i]`` of the result."""
     return sum(((bits >> i) & 1) << pos for i, pos in enumerate(positions))
@@ -122,6 +160,7 @@ def binding_attack(
         raise RegimeError("exhaustive ball search is limited to k <= 16")
     if not 0.0 <= sigma <= 0.5:
         raise ValueError("sigma must lie in [0, 1/2]")
+    _check_trials(trials)
     rng = random.Random(seed)
     radius = floor_tol(sigma * k)
     successes = 0
@@ -305,21 +344,23 @@ def ot_offbranch_distance(
 def ih_theta_attack(m: int, t: int, trials: int, seed: int = 0) -> AttackReport:
     """Malicious respondent drawing its input from a sparse target set.
 
-    Each trial draws a fresh target set T of size 2**t, the respondent picks
-    W inside T and answers honestly, and the attack succeeds when both
-    protocol outputs land in T.  Success probability is bounded by
-    a * 2**-(m - t) for a protocol constant a; the 4x slack stands in for it.
+    Each trial draws a fresh target set T of size 2**t from the block
+    sampler, the respondent picks W uniformly inside T and answers honestly,
+    and the attack succeeds when both protocol outputs land in T.  Success
+    probability is bounded by a * 2**-(m - t) for a protocol constant a;
+    the 4x slack stands in for it.
     """
     if m > 16:
         raise RegimeError("theta test is limited to m <= 16")
     if not 0 < t < m:
         raise ValueError("need 0 < t < m")
+    _check_trials(trials)
     rng = random.Random(seed)
     universe = 1 << m
     size = 1 << t
     successes = 0
     for _ in range(trials):
-        target = set(rng.sample(range(universe), size))
+        target = _uniform_subset(universe, size, rng)
         w = rng.choice(tuple(target))
         q = Querier(m, rng)
         queries = []
@@ -348,18 +389,20 @@ def ih_theta_attack(m: int, t: int, trials: int, seed: int = 0) -> AttackReport:
 
 
 def lemma_birthday(n: int, ell: int, trials: int, seed: int = 0) -> AttackReport:
-    """Rate of |A & B| < ell for independent k-subsets, k = subset_size_for."""
+    """Rate of |A & B| < ell for independent k-subsets, k = subset_size_for.
+
+    Both subsets of a trial come from the block sampler.
+    """
     k = subset_size_for(n, ell)
     if k > n:
         raise ValueError("k exceeds n; choose a larger source")
+    _check_trials(trials)
     rng = random.Random(seed)
-    population = range(n)
     violations = 0
     for _ in range(trials):
-        a = set(rng.sample(population, k))
-        b = rng.sample(population, k)
-        overlap = sum(1 for i in b if i in a)
-        violations += overlap < ell
+        a = _uniform_subset(n, k, rng)
+        b = _uniform_subset(n, k, rng)
+        violations += len(a & b) < ell
     p = math.exp(-ell / 4.0)
     stderr = math.sqrt(p * (1.0 - p) / trials)
     bound = MONTE_CARLO_SLACK * p + 3.0 * stderr
@@ -405,17 +448,18 @@ def lemma_subset_hd(
     The words are built at Hamming distance exactly floor(delta*n), which
     satisfies both hypotheses (distance at most and at least delta*n), so a
     single experiment checks the upper tail HD_S >= (delta+nu)*r and the
-    lower tail HD_S <= (delta-nu)*r against exp(-r * nu**2 / 2) each.
+    lower tail HD_S <= (delta-nu)*r against exp(-r * nu**2 / 2) each.  The
+    error positions and every r-subset come from the block sampler.
     """
+    _check_trials(trials)
     rng = random.Random(seed)
     flips = floor_tol(delta * n)
-    error_set = set(rng.sample(range(n), flips))
+    error_set = _uniform_subset(n, flips, rng)
     upper = lower = 0
     hi = (delta + nu) * r
     lo = (delta - nu) * r
     for _ in range(trials):
-        s = rng.sample(range(n), r)
-        hd = sum(1 for i in s if i in error_set)
+        hd = len(_uniform_subset(n, r, rng) & error_set)
         if hd >= hi:
             upper += 1
         if hd <= lo:

@@ -42,7 +42,8 @@ class IHOutcome:
     d: int | None = None  # respondent side: which output equals its input
 
     def __post_init__(self):
-        if self.w0.lex_key() >= self.w1.lex_key():
+        a, b = self.w0.to_int(), self.w1.to_int()
+        if self.w0.length != self.w1.length or a == b or _later_first(a, b):
             raise ValueError("outputs must be in strict lexicographic order")
 
     @property
@@ -50,11 +51,19 @@ class IHOutcome:
         return (self.w0, self.w1)
 
 
+def _later_first(a: int, b: int) -> int:
+    """Nonzero when ``a`` displays after ``b``: display strings put bit 0
+    first, so their lowest differing bit decides, and ``a`` holds it set."""
+    diff = a ^ b
+    return a & diff & -diff
+
+
 def solve_pair(queries: list[int], responses: list[int], m: int) -> tuple[BitString, BitString]:
     """The two solutions of the transcript, lexicographically ordered."""
     a, b = gf2.solve_affine_pair(queries, responses, m)
-    sa, sb = BitString(m, a), BitString(m, b)
-    return (sa, sb) if sa.lex_key() < sb.lex_key() else (sb, sa)
+    if _later_first(a, b):
+        a, b = b, a
+    return BitString(m, a), BitString(m, b)
 
 
 def _solve_rows(ech: gf2.Echelon, m: int) -> tuple[BitString, BitString]:
@@ -91,9 +100,9 @@ class Querier:
     def next_query(self) -> BitString:
         if self._pending is not None:
             raise ProtocolStateError("previous response still pending")
-        if self.finished:
+        p = self.m - 1 - len(self._ech.rows)
+        if not p:
             raise ProtocolStateError("all rounds are complete")
-        p = self.m - 1 - self._ech.rank
         candidate = (1 << p) | self._rng.getrandbits(p)
         # the pivot is new, so this is one lookup returning the row unchanged
         self._pending = self._ech.reduce(candidate << 1)

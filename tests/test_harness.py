@@ -1,4 +1,7 @@
+import itertools
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +19,7 @@ from bsme.harness import (
     lemma_entropy_hd,
     lemma_subset_hd,
     ot_offbranch_distance,
+    _uniform_subset,
 )
 from bsme.infomath import binary_entropy
 
@@ -184,3 +188,48 @@ class TestLemmas:
     def test_entropy_regime(self):
         with pytest.raises(RegimeError):
             lemma_entropy_hd(11, 0.75, 0.1)
+
+
+class TestUniformSubset:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 4095, 4096, 4097])
+    def test_k_distinct_values_in_range(self, n):
+        rng = random.Random(n)
+        for k in sorted({0, 1, n // 2, n}):
+            got = _uniform_subset(n, k, rng)
+            assert len(got) == k
+            assert all(type(v) is int and 0 <= v < n for v in got)
+
+    @pytest.mark.parametrize("n,k", [(5, -1), (5, 6), (0, 1), (1, 2)])
+    def test_bad_k_refused(self, n, k):
+        with pytest.raises(ValueError):
+            _uniform_subset(n, k, random.Random(0))
+
+    def test_same_seed_same_set(self):
+        for n, k in ((4096, 64), (4097, 300), (5, 2)):
+            assert _uniform_subset(n, k, random.Random(9)) == _uniform_subset(n, k, random.Random(9))
+        assert _uniform_subset(4096, 64, random.Random(9)) != _uniform_subset(4096, 64, random.Random(10))
+
+    def test_every_pair_equally_likely(self):
+        # n=5 keeps the top 3 bits of each word and rejects 5, 6 and 7
+        n, k, draws = 5, 2, 20_000
+        rng = random.Random(12)
+        counts = Counter(frozenset(_uniform_subset(n, k, rng)) for _ in range(draws))
+        subsets = [frozenset(c) for c in itertools.combinations(range(n), k)]
+        assert set(counts) == set(subsets)
+        p = 1 / len(subsets)
+        half = 4.0 * math.sqrt(draws * p * (1.0 - p))
+        for sub in subsets:
+            assert abs(counts[sub] - draws * p) <= half, (sorted(sub), counts[sub])
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_refused(self, trials):
+        with pytest.raises(ValueError, match="trial"):
+            ih_theta_attack(m=12, t=6, trials=trials)
+        with pytest.raises(ValueError, match="trial"):
+            binding_attack(k=8, digest_len=4, sigma=0.125, trials=trials)
+        with pytest.raises(ValueError, match="trial"):
+            lemma_birthday(n=2048, ell=16, trials=trials)
+        with pytest.raises(ValueError, match="trial"):
+            lemma_subset_hd(n=2048, r=192, delta=0.15, nu=0.1, trials=trials)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bsme.bits import BitString
-from bsme.gf2 import solve_affine_pair
+from bsme.gf2 import Echelon, solve_affine_pair
 from bsme.ihash import (
     DependentQueryError,
     IHOutcome,
@@ -41,13 +41,16 @@ def recorded_session(m: int, w: BitString, rng: random.Random):
     return q, r, queries, responses
 
 
+def display_order(m: int, values) -> list[int]:
+    """The values sorted by their display strings (bit 0 first)."""
+    return sorted(values, key=lambda v: BitString(m, v).to_str())
+
+
 def brute_force_pair(m: int, queries: list[int], responses: list[int]) -> list[int]:
     """Every solution of the transcript, in lexicographic order."""
-    return sorted(
-        (v for v in range(1 << m)
-         if all((q & v).bit_count() & 1 == c for q, c in zip(queries, responses))),
-        key=lambda v: BitString(m, v).lex_key(),
-    )
+    return display_order(m, (
+        v for v in range(1 << m)
+        if all((q & v).bit_count() & 1 == c for q, c in zip(queries, responses))))
 
 
 class TestSolvePair:
@@ -57,7 +60,6 @@ class TestSolvePair:
         w0, w1 = solve_pair([0b01], [1], 2)
         assert w0.to_str() == "10"
         assert w1.to_str() == "11"
-        assert w0.lex_key() < w1.lex_key()
 
     def test_matches_brute_force(self):
         rng = random.Random(5)
@@ -81,8 +83,8 @@ class TestSolvePair:
 
 class TestOutcome:
     def test_order_enforced(self):
-        a, b = BitString(3, 1), BitString(3, 2)
-        lo, hi = (a, b) if a.lex_key() < b.lex_key() else (b, a)
+        # "010" sorts before "100"
+        lo, hi = BitString(3, 2), BitString(3, 1)
         IHOutcome(lo, hi)
         with pytest.raises(ValueError):
             IHOutcome(hi, lo)
@@ -104,7 +106,7 @@ class TestHonestRuns:
         assert ro.d in (0, 1)
         assert ro.pair[ro.d] == w
         assert qo.d is None
-        assert qo.w0.lex_key() < qo.w1.lex_key()
+        assert qo.w0.to_str() < qo.w1.to_str()
 
     def test_deterministic_given_rng(self):
         w = BitString(5, 19)
@@ -242,7 +244,7 @@ class TestReducedRowsSolve:
             w = BitString.random(m, rng)
             q, r, queries, responses = recorded_session(m, w, rng)
             a, b = solve_affine_pair(queries, responses, m)
-            expect = tuple(sorted((BitString(m, a), BitString(m, b)), key=BitString.lex_key))
+            expect = tuple(BitString(m, v) for v in display_order(m, (a, b)))
             assert q.outcome().pair == expect
             assert r.outcome().pair == expect
             assert len(queries) == m - 1
@@ -279,3 +281,75 @@ class TestReducedRowsSolve:
         while not q.finished:
             q.take_response(r.respond(q.next_query()))
         assert r.outcome().pair == q.outcome().pair
+
+
+def independent_queries(m: int, draws: list[int]) -> list[int]:
+    """m-1 independent queries from arbitrary drawn ones.
+
+    A draw that depends on the earlier queries is XORed with the lowest unit
+    vector outside their span, so every draw is kept and the set is
+    generally not triangular.
+    """
+    ech, out = Echelon(), []
+    for d in draws[: m - 1]:
+        if not ech.reduce(d):
+            d ^= next(1 << j for j in range(m) if ech.reduce(d ^ (1 << j)))
+        ech.add(d)
+        out.append(d)
+    return out
+
+
+class TestOrdering:
+    """The pair is published in display-string order whatever the queries."""
+
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    def test_outcome_order_matches_strings(self, m):
+        for a, b in itertools.permutations(range(1 << m), 2):
+            x, y = BitString(m, a), BitString(m, b)
+            if x.to_str() < y.to_str():
+                assert IHOutcome(x, y).pair == (x, y)
+            else:
+                with pytest.raises(ValueError):
+                    IHOutcome(x, y)
+
+    def test_wide_pairs_order_like_text(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            a, b = rng.getrandbits(200), rng.getrandbits(200)
+            lo, hi = display_order(200, (a, b))
+            IHOutcome(BitString(200, lo), BitString(200, hi))
+            with pytest.raises(ValueError):
+                IHOutcome(BitString(200, hi), BitString(200, lo))
+
+    def test_outcome_refuses_mixed_lengths(self):
+        with pytest.raises(ValueError):
+            IHOutcome(BitString(2, 0), BitString(3, 1))
+
+    @given(st.integers(2, 10), st.data())
+    def test_hostile_queries_pair_in_string_order(self, m, data):
+        draws = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=m - 1, max_size=m - 1))
+        queries = independent_queries(m, draws)
+        w = data.draw(st.integers(0, (1 << m) - 1))
+        r = Respondent(m, BitString(m, w))
+        responses = [r.respond(BitString(m, q)) for q in queries]
+        expect = tuple(BitString(m, v) for v in brute_force_pair(m, queries, responses))
+        assert solve_pair(queries, responses, m) == expect
+        out = r.outcome()
+        assert out.pair == expect
+        assert out.pair[out.d] == BitString(m, w)
+        lo, hi = expect
+        with pytest.raises(ValueError):
+            IHOutcome(hi, lo)
+        with pytest.raises(ValueError):
+            IHOutcome(lo, lo)
+
+    def test_hostile_generator_is_not_triangular(self):
+        # the two solutions of the drawn systems do not always first differ at bit 0
+        rng = random.Random(8)
+        first_diff = set()
+        for _ in range(200):
+            m = rng.randint(2, 10)
+            queries = independent_queries(m, [rng.getrandbits(m) for _ in range(m - 1)])
+            a, b = solve_affine_pair(queries, [0] * (m - 1), m)
+            first_diff.add(((a ^ b) & -(a ^ b)).bit_length() - 1)
+        assert len(first_diff) > 3
