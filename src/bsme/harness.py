@@ -6,19 +6,20 @@ meaning "the observation stayed within the bound".  Monte Carlo bounds get a
 2x slack factor and bounds with unknown leading constants get 4x; exact
 enumeration results are compared without slack.  Oversized regimes raise
 :class:`RegimeError` instead of sampling their way to a misleading answer,
-and a Monte Carlo check asked for fewer than one trial raises ValueError.
+and a Monte Carlo check asked for fewer than one trial raises ValueError, as
+does a rate report built with fewer than one trial.
 
 The random subsets of the Monte Carlo checks (theta targets, lemma samples
-and error sets) come from the block sampler ``_uniform_subset``, not from
-``random.sample``: the same seed gives other subsets than ``random.sample``
-would, with the same uniform distribution.
+and error sets) come from the source's block sampler ``_uniform_subset``,
+the one the protocol's own position draws use, not from ``random.sample``:
+the same seed gives other subsets than ``random.sample`` would, with the
+same uniform distribution.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ from .infomath import (
     subset_size_for,
 )
 from .ihash import Querier, solve_pair
+from .source import _uniform_subset
 
 __all__ = [
     "RegimeError",
@@ -66,9 +68,12 @@ class AttackReport:
     bound: float
     bound_formula: str
 
+    def __post_init__(self):
+        _check_trials(self.trials)
+
     @property
     def rate(self) -> float:
-        return self.successes / self.trials if self.trials else 0.0
+        return self.successes / self.trials
 
     @property
     def passed(self) -> bool:
@@ -99,32 +104,6 @@ class EnumerationReport:
             f"bound={self.bound:.6g} min_entropy={self.min_entropy:.6g} "
             f"pass={self.passed}"
         )
-
-
-def _uniform_subset(n: int, k: int, rng: random.Random) -> set[int]:
-    """A uniform k-subset of ``range(n)``, for ``n <= 2**32``.
-
-    Each pass draws one 32-bit word per value still missing with a single
-    ``getrandbits``, keeps the top ``(n - 1).bit_length()`` bits of each
-    word with one shift and mask of the whole draw, and drops values of n or
-    more, all in C.  A pass adds at most as many values as are missing, so
-    the result is the first k distinct values of an iid uniform stream,
-    hence a uniform k-subset.  A pass's words are taken as a set, so the
-    byte order that reads them does not change the result.
-    """
-    if not 0 <= k <= n <= 1 << 32:
-        raise ValueError("need 0 <= k <= n <= 2**32")
-    bits = (n - 1).bit_length()
-    shift = 32 - bits
-    # bits [32i, 32i + bits) set: where the shift leaves word i's top bits
-    mask = int.from_bytes(((1 << bits) - 1).to_bytes(4, "little") * k, "little")
-    seen: set[int] = set()
-    while len(seen) < k:
-        need = k - len(seen)
-        top = (rng.getrandbits(32 * need) >> shift) & mask
-        words = memoryview(top.to_bytes(4 * need, sys.byteorder)).cast("I")
-        seen.update(filter(n.__gt__, words))
-    return seen
 
 
 def _check_trials(trials: int) -> None:
@@ -423,6 +402,9 @@ class TwoSidedReport:
     lower_violations: int
     bound: float
     bound_formula: str
+
+    def __post_init__(self):
+        _check_trials(self.trials)
 
     @property
     def passed(self) -> bool:

@@ -3,21 +3,19 @@
 ``generate`` draws the public string X together with the noisy view X~.
 X carries exactly ``ceil(alpha*n)`` uniformly placed uniform bits (the rest
 are zero), so its min-entropy is exactly that count.  X~ differs from X in
-exactly ``floor(delta*n)`` positions chosen by the error model, except that
-a clamped adversarial callback may flip fewer.
+exactly ``floor(delta*n)`` uniformly placed positions.
 
 Stream contract: a seed fixes every output, so ``generate`` consumes its
-generator in a fixed order.  ``sample_positions`` advances the generator
-exactly as one ``rng.sample(range(n), k)`` call does, then ``source_word``
-takes one 32-bit generator word per support position, in increasing position
-order, and uses the word's top bit as the source bit; the random error model
-then draws its positions with a second ``sample_positions``.  Below full
-support ``sample_positions`` is that ``rng.sample`` call.  At full support
-(k = n, alpha = 1) the support is every position, so the shuffle's order is
-never used: ``sample_positions`` replays only the generator words the shuffle
-would consume, without building it, and needs n < 2**32 for that.  Skipping
-those words instead would shift every later draw and so change every seeded
-broadcast, and with it which seeds the existing seeded checks see.
+generator in a fixed order, with work linear in n.  It draws the support
+with ``sample_positions``, then the source bits with one
+``getrandbits(k)`` whose bit j lands on the j-th support position, then the
+error positions with a second ``sample_positions``.  ``sample_positions``
+draws its subset with the block sampler ``_uniform_subset``: k values when
+k <= n/2, else the n - k positions left out.  The full set (k = n, the
+support when alpha = 1) takes no generator words, so a full-support
+broadcast is one ``getrandbits(n)`` followed by the error draw.
+``sample_positions`` refuses n >= 2**32 for every k, since the sampler
+draws 32-bit words.
 """
 
 from __future__ import annotations
@@ -25,14 +23,11 @@ from __future__ import annotations
 import math
 import random
 import sys
-from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import filterfalse
 
 from .bits import BitString, IndexSet, scatter_digits
 from .infomath import floor_tol
-
-ERROR_MODELS = ("random", "burst", "adversarial-callback")
 
 
 @dataclass(frozen=True)
@@ -40,9 +35,7 @@ class SourceConfig:
     n: int
     alpha: float = 1.0
     delta: float = 0.0
-    error_model: str = "random"
     seed: object = 0
-    error_callback: Optional[Callable[[BitString, int], Sequence[int]]] = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -51,10 +44,6 @@ class SourceConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-        if self.error_model not in ERROR_MODELS:
-            raise ValueError(f"unknown error model {self.error_model!r}")
-        if self.error_model == "adversarial-callback" and self.error_callback is None:
-            raise ValueError("adversarial-callback model needs error_callback")
 
 
 @dataclass(frozen=True)
@@ -65,109 +54,79 @@ class SourcePair:
     x_tilde: BitString
     entropy_positions: IndexSet
     error_positions: IndexSet
-    clamped: bool = False
 
     def __post_init__(self):
         if self.x.length != self.x_tilde.length:
             raise ValueError("views must have equal length")
 
 
+def _uniform_subset(n: int, k: int, rng: random.Random) -> set[int]:
+    """A uniform k-subset of ``range(n)``, for ``n <= 2**32``.
+
+    Each pass draws one 32-bit word per value still missing with a single
+    ``getrandbits``, keeps the top ``(n - 1).bit_length()`` bits of each
+    word with one shift and mask of the whole draw, and drops values of n or
+    more, all in C.  A pass adds at most as many values as are missing, so
+    the result is the first k distinct values of an iid uniform stream,
+    hence a uniform k-subset.  A pass's words are taken as a set, so the
+    byte order that reads them does not change the result.
+    """
+    if not 0 <= k <= n <= 1 << 32:
+        raise ValueError("need 0 <= k <= n <= 2**32")
+    bits = (n - 1).bit_length()
+    shift = 32 - bits
+    # bits [32i, 32i + bits) set: where the shift leaves word i's top bits
+    mask = int.from_bytes(((1 << bits) - 1).to_bytes(4, "little") * k, "little")
+    seen: set[int] = set()
+    while len(seen) < k:
+        need = k - len(seen)
+        top = (rng.getrandbits(32 * need) >> shift) & mask
+        words = memoryview(top.to_bytes(4 * need, sys.byteorder)).cast("I")
+        seen.update(filter(n.__gt__, words))
+    return seen
+
+
 def sample_positions(n: int, k: int, rng: random.Random) -> IndexSet:
-    """Uniformly random k-subset of [0, n)."""
+    """Uniformly random k-subset of [0, n), for n < 2**32.
+
+    Draws min(k, n - k) values with ``_uniform_subset``; the full set draws
+    nothing.
+    """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if k == n:
-        _skip_full_shuffle(n, rng)
-        return IndexSet.full(n)
-    drawn = rng.sample(range(n), k)
-    drawn.sort()
-    return IndexSet(n, drawn)
-
-
-# Array type code of an unsigned 32-bit word on this host.
-_WORD32 = next(code for code in "IL" if array(code).itemsize == 4)
-
-
-def _skip_full_shuffle(n: int, rng: random.Random) -> None:
-    """Advance ``rng`` exactly as ``rng.sample(range(n), n)`` would.
-
-    That shuffle calls ``_randbelow(t)`` for t = n, n-1, ..., 1.  Each try
-    takes one 32-bit word w and accepts when ``w >> (32 - b) < t``, where
-    b = ``t.bit_length()``; that is, when ``w < t << (32 - b)``.  With t
-    calls left each takes at least one word, so the next t words are consumed
-    for certain: draw them with one ``getrandbits(32 * t)``, low word first
-    as in ``source_word``, replay the tests on them, and repeat.
-
-    ``limit`` is ``t << (32 - b)`` and ``step`` is ``1 << (32 - b)``.  The
-    limit lies in ``[2**31, 2**32)`` until t falls to a power of two minus
-    one; there b drops by one, so both double.
-    """
     if n >= 1 << 32:
-        raise ValueError("a full-support draw needs n < 2**32")
-    step = 1 << (32 - n.bit_length())
-    limit = n * step
-    left = n
-    while left:
-        words = array(_WORD32, rng.getrandbits(32 * left).to_bytes(4 * left, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        for w in words:
-            if w < limit:
-                limit -= step
-                if limit < 1 << 31:
-                    limit <<= 1
-                    step <<= 1
-        left = limit // step
-
-
-# Byte value -> ASCII digit of its top bit.
-_TOP_BIT_DIGIT = bytes(ord("0") + (b >> 7) for b in range(256))
+        raise ValueError("need n < 2**32")
+    if k == n:
+        return IndexSet.full(n)
+    if 2 * k <= n:
+        return IndexSet(n, sorted(_uniform_subset(n, k, rng)))
+    left_out = _uniform_subset(n, n - k, rng)
+    return IndexSet(n, filterfalse(left_out.__contains__, range(n)))
 
 
 def source_word(support: IndexSet, rng: random.Random) -> BitString:
     """Uniform bits on ``support``, zero elsewhere: the entropy construction.
 
-    Bit j of the support is the top bit of the j-th 32-bit generator word,
-    which is what ``getrandbits(1)`` per position would return.  One
-    ``getrandbits(32 * k)`` packs the same k words low word first, so the
-    top bit of word j is the top bit of byte ``4*j + 3`` of its
-    little-endian bytes.
+    One ``getrandbits(k)`` for the k support positions; its bit j lands on
+    the j-th of them, so at full support the draw is the word itself.
     """
-    k = len(support)
-    words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
-    digits = words[3::4].translate(_TOP_BIT_DIGIT)
-    return BitString(support.ground, scatter_digits(support.ground, support.indices, digits))
+    n, k = support.ground, len(support)
+    drawn = rng.getrandbits(k)
+    if k == n:
+        return BitString(n, drawn)
+    digits = format(drawn, f"0{k}b").encode()[::-1]
+    return BitString(n, scatter_digits(n, support.indices, digits))
 
 
 def generate(cfg: SourceConfig) -> SourcePair:
     rng = random.Random(cfg.seed)
     n = cfg.n
-    support_size = math.ceil(cfg.alpha * n)
-    support = sample_positions(n, support_size, rng)
+    support = sample_positions(n, math.ceil(cfg.alpha * n), rng)
     x = source_word(support, rng)
-
-    flip_count = floor_tol(cfg.delta * n)
-    clamped = False
-    if cfg.error_model == "random":
-        errors = sample_positions(n, flip_count, rng)
-    elif cfg.error_model == "burst":
-        if flip_count == 0:
-            errors = IndexSet(n)
-        else:
-            start = rng.randrange(n)
-            errors = IndexSet.from_iterable(
-                n, ((start + i) % n for i in range(flip_count))
-            )
-    else:
-        wanted = list(dict.fromkeys(cfg.error_callback(x, flip_count)))
-        if len(wanted) > flip_count:
-            wanted = wanted[:flip_count]
-            clamped = True
-        errors = IndexSet.from_iterable(n, wanted)
-    x_tilde = x ^ errors.to_mask()
+    errors = sample_positions(n, floor_tol(cfg.delta * n), rng)
     return SourcePair(
-        x=x, x_tilde=x_tilde, entropy_positions=support,
-        error_positions=errors, clamped=clamped,
+        x=x, x_tilde=x ^ errors.to_mask(), entropy_positions=support,
+        error_positions=errors,
     )
 
 

@@ -388,10 +388,10 @@ class TestRunner:
         ot = runner.run_ot_session(OT_PARAMS, seed=42)
         assert len(commit.transcript) == 4
         assert digest(commit.transcript) == (
-            "17052b04041ef6949f5531b0628b860614acb46063edea7f1228d45391ddf8f9")
+            "61ce4cfb260312842340e76f76407d095c53abdad5508356d2aee4092bc39122")
         assert len(ot.transcript) == 450
         assert digest(ot.transcript) == (
-            "a7ccecf87ec353860c122bf08d59374b8976c76bd5756da8afd0e4c82318d121")
+            "576e6af04bfce4d603658d9cffbef418cdd8451b0f85a5dd6cbbf59417c23ce6")
 
     def test_cross_host_parties_agree(self):
         # drive commit_party on both ends of one socket pair

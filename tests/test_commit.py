@@ -43,9 +43,22 @@ class TestHonest:
         assert opening.value.length == PARAMS.m
 
     def test_accepts_noisy(self):
+        # An honest session at the noisy point may fail, at a few percent of
+        # seeds: the verifier refuses on distance exactly when the noise
+        # inside the overlap exceeds its tolerance, and accepts otherwise.
+        accepted = 0
         for seed in range(8):
-            res, _, _, _ = run(NOISY, seed, noisy=True)
-            assert res.accept, f"seed {seed}: {res.reason}"
+            res, com, ver, _ = run(NOISY, seed, noisy=True)
+            errors = generate(SourceConfig(n=NOISY.n, alpha=NOISY.alpha, delta=NOISY.delta,
+                                           seed=f"{seed}:src")).error_positions
+            overlap = com.a.intersect(ver.b)
+            noise = len(overlap.intersect(errors))
+            if noise > floor_tol((NOISY.delta + NOISY.zeta) * len(overlap)):
+                assert res.reason is Reason.DISTANCE_EXCEEDED, f"seed {seed}: {res.reason}"
+            else:
+                assert res.accept, f"seed {seed}: {res.reason}"
+                accepted += 1
+        assert accepted >= 4
 
     @given(st.integers(0, 2**16))
     def test_accepts_any_seed(self, seed):

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from bsme.bits import BitString, IndexSet
 from bsme.source import (
     BoundedMemory,
     SourceConfig,
+    _uniform_subset,
     adversary_store,
     generate,
     sample_positions,
@@ -25,10 +28,6 @@ class TestConfig:
             SourceConfig(n=8, alpha=1.5)
         with pytest.raises(ValueError):
             SourceConfig(n=8, delta=-0.1)
-        with pytest.raises(ValueError):
-            SourceConfig(n=8, error_model="gaussian")
-        with pytest.raises(ValueError):
-            SourceConfig(n=8, error_model="adversarial-callback")
 
 
 class TestGenerate:
@@ -53,46 +52,6 @@ class TestGenerate:
         assert pair.x.hamming(pair.x_tilde) == expected
         assert len(pair.error_positions) == expected
 
-    def test_burst_is_contiguous_mod_n(self):
-        pair = generate(SourceConfig(n=40, delta=0.2, error_model="burst", seed=3))
-        idx = pair.error_positions.indices
-        assert len(idx) == 8
-        # some rotation of the index list is consecutive
-        gaps = [(b - a) % 40 for a, b in zip(idx, idx[1:] + idx[:1])]
-        assert sorted(gaps) == [1] * 7 + [33]
-
-    def test_burst_zero_errors(self):
-        pair = generate(SourceConfig(n=16, delta=0.0, error_model="burst", seed=0))
-        assert pair.x == pair.x_tilde
-
-    def test_callback_positions_applied(self):
-        pair = generate(SourceConfig(
-            n=16, delta=0.25, error_model="adversarial-callback", seed=1,
-            error_callback=lambda x, budget: [0, 5, 9],
-        ))
-        assert pair.error_positions == IndexSet(16, (0, 5, 9))
-        assert not pair.clamped
-        assert pair.x_tilde == pair.x ^ IndexSet(16, (0, 5, 9)).to_mask()
-
-    def test_callback_dedup_then_clamp(self):
-        # duplicates collapse first; only then does the budget truncate
-        pair = generate(SourceConfig(
-            n=16, delta=0.25, error_model="adversarial-callback", seed=1,
-            error_callback=lambda x, budget: [3, 3, 1, 1, 7, 12, 9],
-        ))
-        assert pair.clamped
-        assert pair.error_positions == IndexSet.from_iterable(16, (3, 1, 7, 12))
-
-    def test_callback_sees_clean_word(self):
-        seen = {}
-        generate(SourceConfig(
-            n=16, delta=0.125, error_model="adversarial-callback", seed=5,
-            error_callback=lambda x, budget: seen.update(x=x, budget=budget) or [0],
-        ))
-        clean = generate(SourceConfig(n=16, delta=0.0, seed=5))
-        assert seen["budget"] == 2
-        assert seen["x"] == clean.x
-
     def test_pair_length_check(self):
         with pytest.raises(ValueError):
             from bsme.source import SourcePair
@@ -110,6 +69,19 @@ class TestHelpers:
         assert len(sample_positions(10, 0, rng)) == 0
         with pytest.raises(ValueError):
             sample_positions(5, 6, rng)
+
+    def test_complement_branch_equally_likely(self):
+        # k=3 > n/2 draws the 2 positions left out; every 3-subset of 5 must
+        # still come up with chance 1/10
+        n, k, draws = 5, 3, 20_000
+        rng = random.Random(13)
+        counts = Counter(sample_positions(n, k, rng).indices for _ in range(draws))
+        subsets = list(itertools.combinations(range(n), k))
+        assert set(counts) == set(subsets)
+        p = 1 / len(subsets)
+        half = 4.0 * math.sqrt(draws * p * (1.0 - p))
+        for sub in subsets:
+            assert abs(counts[sub] - draws * p) <= half, (sub, counts[sub])
 
     def test_source_word_support(self):
         rng = random.Random(1)
@@ -193,19 +165,67 @@ class TestDumpLoad:
             BitString.from_bytes(data[:-1], 16)
 
 
-# Per-bit reference versions of the source draws, kept only here to check
-# the bulk ones against, output and generator state both.
+class TestUniformSubset:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 4095, 4096, 4097])
+    def test_k_distinct_values_in_range(self, n):
+        rng = random.Random(n)
+        for k in sorted({0, 1, n // 2, n}):
+            got = _uniform_subset(n, k, rng)
+            assert len(got) == k
+            assert all(type(v) is int and 0 <= v < n for v in got)
 
-def source_word_ref(support: IndexSet, rng: random.Random) -> BitString:
-    value = 0
-    for pos in support:
-        if rng.getrandbits(1):
-            value |= 1 << pos
-    return BitString(support.ground, value)
+    @pytest.mark.parametrize("n,k", [(5, -1), (5, 6), (0, 1), (1, 2)])
+    def test_bad_k_refused(self, n, k):
+        with pytest.raises(ValueError):
+            _uniform_subset(n, k, random.Random(0))
+
+    def test_same_seed_same_set(self):
+        for n, k in ((4096, 64), (4097, 300), (5, 2)):
+            assert _uniform_subset(n, k, random.Random(9)) == _uniform_subset(n, k, random.Random(9))
+        assert _uniform_subset(4096, 64, random.Random(9)) != _uniform_subset(4096, 64, random.Random(10))
+
+    def test_every_pair_equally_likely(self):
+        # n=5 keeps the top 3 bits of each word and rejects 5, 6 and 7
+        n, k, draws = 5, 2, 20_000
+        rng = random.Random(12)
+        counts = Counter(frozenset(_uniform_subset(n, k, rng)) for _ in range(draws))
+        subsets = [frozenset(c) for c in itertools.combinations(range(n), k)]
+        assert set(counts) == set(subsets)
+        p = 1 / len(subsets)
+        half = 4.0 * math.sqrt(draws * p * (1.0 - p))
+        for sub in subsets:
+            assert abs(counts[sub] - draws * p) <= half, (sorted(sub), counts[sub])
+
+
+# Reference versions of the source draws, one generator word or one bit at a
+# time, kept only here to check the bulk ones against, output and generator
+# state both.
+
+def uniform_subset_ref(n: int, k: int, rng: random.Random) -> set[int]:
+    shift = 32 - (n - 1).bit_length()
+    seen: set[int] = set()
+    while len(seen) < k:
+        words = [rng.getrandbits(32) for _ in range(k - len(seen))]
+        seen.update(w >> shift for w in words if w >> shift < n)
+    return seen
 
 
 def sample_positions_ref(n: int, k: int, rng: random.Random) -> IndexSet:
-    return IndexSet(n, sorted(rng.sample(range(n), k)))
+    if k == n:
+        return IndexSet(n, range(n))
+    if 2 * k <= n:
+        return IndexSet(n, sorted(uniform_subset_ref(n, k, rng)))
+    left_out = uniform_subset_ref(n, n - k, rng)
+    return IndexSet(n, [i for i in range(n) if i not in left_out])
+
+
+def source_word_ref(support: IndexSet, rng: random.Random) -> BitString:
+    drawn = rng.getrandbits(len(support))
+    value = 0
+    for j, pos in enumerate(support):
+        if drawn >> j & 1:
+            value |= 1 << pos
+    return BitString(support.ground, value)
 
 
 class TestStreamEquivalence:
@@ -223,6 +243,9 @@ class TestStreamEquivalence:
             fast, ref = random.Random(n), random.Random(n)
             assert source_word(support, fast) == source_word_ref(support, ref)
             assert fast.getstate() == ref.getstate()
+        # at full support the source word is the draw itself
+        full = source_word(IndexSet.full(n), random.Random(n))
+        assert full.to_int() == random.Random(n).getrandbits(n)
 
     @given(st.integers(0, 300), st.data())
     def test_sample_positions_matches_reference(self, n, data):
@@ -232,79 +255,50 @@ class TestStreamEquivalence:
         assert sample_positions(n, k, fast) == sample_positions_ref(n, k, ref)
         assert fast.getstate() == ref.getstate()
 
-
-# Each side of every power-of-two boundary up to 2^17, where the shuffle's
-# per-call word width changes, and the commitment bench's n.
-ADVANCE_SIZES = sorted(
-    {m for b in range(1, 18) for m in ((1 << b) - 1, 1 << b, (1 << b) + 1)} | {65536}
-)
-
-
-def _untemper(y: int) -> int:
-    """Inverse of the Mersenne Twister's output tempering."""
-    y ^= y >> 18
-    y ^= (y << 15) & 0xEFC60000
-    x = y
-    for _ in range(4):
-        x = y ^ ((x << 7) & 0x9D2C5680)
-    y = x & 0xFFFFFFFF
-    x = y
-    for _ in range(2):
-        x = y ^ (x >> 11)
-    return x
-
-
-def generator_opening_with(words: list[int]) -> random.Random:
-    """A ``random.Random`` whose next 32-bit outputs are ``words``."""
-    rng = random.Random(0)
-    version, state, gauss = rng.getstate()
-    mt = list(state[:624])
-    mt[:len(words)] = map(_untemper, words)
-    rng.setstate((version, (*mt, 0), gauss))
-    return rng
+    @pytest.mark.parametrize("n", [2, 4, 1000])
+    def test_half_draws_the_values_kept(self, n):
+        # k = n/2 could take either branch; the contract draws the k values
+        fast, ref = random.Random(n), random.Random(n)
+        kept = sorted(uniform_subset_ref(n, n // 2, ref))
+        assert sample_positions(n, n // 2, fast) == IndexSet(n, kept)
+        assert fast.getstate() == ref.getstate()
 
 
 class TestFullSupportAdvance:
-    """At full support the shuffle is replayed, never built: the generator
-    must end exactly where ``rng.sample(range(n), n)`` leaves it."""
+    """At full support nothing is drawn: the full set takes no generator
+    words, and every size past the sampler's word range is refused first."""
 
-    @pytest.mark.parametrize("n", ADVANCE_SIZES)
-    def test_state_matches_shuffle(self, n):
-        for seed in range(3):
-            for prior in (0, 3):
-                fast, ref = random.Random(seed), random.Random(seed)
-                for rng in (fast, ref):
-                    for _ in range(prior):
-                        rng.sample(range(50), 7)
-                        rng.getrandbits(45)
-                assert sample_positions(n, n, fast) == IndexSet.full(n)
-                ref.sample(range(n), n)
-                assert fast.getstate() == ref.getstate(), (seed, prior)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4096, 65535, 65536, 65537])
+    def test_full_support_leaves_state(self, n):
+        rng = random.Random(n)
+        rng.getrandbits(45)
+        before = rng.getstate()
+        assert sample_positions(n, n, rng) == IndexSet.full(n)
+        assert rng.getstate() == before
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1000, 65535, 65536])
-    def test_word_at_threshold_is_refused(self, n):
-        # A try for t positions left accepts w < t << (32 - b).  Random words
-        # hit that threshold with odds 2^-32, so plant them: the threshold for
-        # t = n (refused), one below it (accepted), the threshold for t = n - 1.
-        def threshold(t):
-            return t << (32 - t.bit_length()) if t else 0
+    def test_guard_comes_before_any_draw(self, monkeypatch):
+        class NoDraws(random.Random):
+            def getrandbits(self, k):
+                raise AssertionError("drew from the generator")
 
-        words = [threshold(n), threshold(n) - 1, threshold(n - 1)]
-        fast, ref = (generator_opening_with(words) for _ in range(2))
-        assert sample_positions(n, n, fast) == IndexSet.full(n)
-        ref.sample(range(n), n)
-        assert fast.getstate() == ref.getstate()
-        assert generator_opening_with(words).getrandbits(32) == words[0]
+        def no_full_set(ground):
+            raise AssertionError("built the full set")
+
+        monkeypatch.setattr(IndexSet, "full", no_full_set)
+        for n in (1 << 32, (1 << 32) + 1, 1 << 40):
+            for k in (0, 1, n // 2, n - 1, n):
+                with pytest.raises(ValueError):
+                    sample_positions(n, k, NoDraws(0))
 
     def test_refuses_n_past_word_range(self):
         with pytest.raises(ValueError):
             sample_positions(1 << 32, 1 << 32, random.Random(0))
 
 
-def stream_digest(n: int, alpha: float, delta: float, model: str) -> str:
+def stream_digest(n: int, alpha: float, delta: float) -> str:
     h = hashlib.sha256()
     for seed in range(3):
-        pair = generate(SourceConfig(n=n, alpha=alpha, delta=delta, error_model=model, seed=seed))
+        pair = generate(SourceConfig(n=n, alpha=alpha, delta=delta, seed=seed))
         for part in (pair.x, pair.x_tilde):
             h.update(part.length.to_bytes(8, "little") + part.to_bytes())
         for pos in (pair.entropy_positions, pair.error_positions):
@@ -313,18 +307,22 @@ def stream_digest(n: int, alpha: float, delta: float, model: str) -> str:
 
 
 # SHA-256 of generate's (x, x_tilde, entropy positions, error positions) for
-# seeds 0-2, taken from the per-bit implementation.  Any change to how the
-# generator is consumed changes these, and with them every seeded session.
+# seeds 0-2, taken from the per-word and per-bit references above.  Any
+# change to how the generator is consumed changes these, and with them every
+# seeded session.  The rows cover the full support, a support drawn directly
+# and one drawn as its complement.
 FROZEN_STREAMS = [
-    (65536, 1.0, 0.02, "random",
-     "45a0070505e6c8945535ecda3fcaea7405edf85e1440d1661ea7f8008e524fd8"),
-    (1000, 0.3, 0.1, "random",
-     "2e785aa493c1bd378bf3fce1c73642a9a7dbb24079c154f5aaf841cb7fe8f583"),
-    (4096, 1.0, 0.01, "burst",
-     "140caf78c125ead7c3d6631f7c53909694725e97092b1967e7e93b3cd505c1b1"),
+    (65536, 1.0, 0.02,
+     "dbb4abd2c6bace8ecad9b26756d24a04fd311df4ef3ac76f4b3e79a4d19b7731"),
+    (1000, 0.3, 0.1,
+     "93d25c10e02390aca71dfc659d03e3f63ec7ab1710d5b39c2b47d840bf797c67"),
+    (4096, 0.75, 0.01,
+     "acd735568e2079f4dcea4fd451d97b6395540460a75fbcce838a8b1f5812bd5b"),
 ]
 
 
-@pytest.mark.parametrize("n, alpha, delta, model, digest", FROZEN_STREAMS)
-def test_source_stream_is_frozen(n, alpha, delta, model, digest):
-    assert stream_digest(n, alpha, delta, model) == digest
+# The ids leave out the digest, so that a deliberate stream change keeps them.
+@pytest.mark.parametrize("n, alpha, delta, digest", FROZEN_STREAMS,
+                         ids=[f"{n}-{alpha}-{delta}" for n, alpha, delta, _ in FROZEN_STREAMS])
+def test_source_stream_is_frozen(n, alpha, delta, digest):
+    assert stream_digest(n, alpha, delta) == digest
