@@ -12,7 +12,6 @@ from bsme.bits import BitString, IndexSet
 from bsme.source import (
     BoundedMemory,
     SourceConfig,
-    _uniform_subset,
     adversary_store,
     generate,
     sample_positions,
@@ -165,38 +164,6 @@ class TestDumpLoad:
             BitString.from_bytes(data[:-1], 16)
 
 
-class TestUniformSubset:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 4095, 4096, 4097])
-    def test_k_distinct_values_in_range(self, n):
-        rng = random.Random(n)
-        for k in sorted({0, 1, n // 2, n}):
-            got = _uniform_subset(n, k, rng)
-            assert len(got) == k
-            assert all(type(v) is int and 0 <= v < n for v in got)
-
-    @pytest.mark.parametrize("n,k", [(5, -1), (5, 6), (0, 1), (1, 2)])
-    def test_bad_k_refused(self, n, k):
-        with pytest.raises(ValueError):
-            _uniform_subset(n, k, random.Random(0))
-
-    def test_same_seed_same_set(self):
-        for n, k in ((4096, 64), (4097, 300), (5, 2)):
-            assert _uniform_subset(n, k, random.Random(9)) == _uniform_subset(n, k, random.Random(9))
-        assert _uniform_subset(4096, 64, random.Random(9)) != _uniform_subset(4096, 64, random.Random(10))
-
-    def test_every_pair_equally_likely(self):
-        # n=5 keeps the top 3 bits of each word and rejects 5, 6 and 7
-        n, k, draws = 5, 2, 20_000
-        rng = random.Random(12)
-        counts = Counter(frozenset(_uniform_subset(n, k, rng)) for _ in range(draws))
-        subsets = [frozenset(c) for c in itertools.combinations(range(n), k)]
-        assert set(counts) == set(subsets)
-        p = 1 / len(subsets)
-        half = 4.0 * math.sqrt(draws * p * (1.0 - p))
-        for sub in subsets:
-            assert abs(counts[sub] - draws * p) <= half, (sorted(sub), counts[sub])
-
-
 # Reference versions of the source draws, one generator word or one bit at a
 # time, kept only here to check the bulk ones against, output and generator
 # state both.
@@ -264,17 +231,31 @@ class TestStreamEquivalence:
         assert fast.getstate() == ref.getstate()
 
 
+# Each side of every power-of-two boundary up to 2^17, and the commitment
+# bench's n.
+ADVANCE_SIZES = sorted(
+    {m for b in range(1, 18) for m in ((1 << b) - 1, 1 << b, (1 << b) + 1)} | {65536}
+)
+
+
 class TestFullSupportAdvance:
     """At full support nothing is drawn: the full set takes no generator
     words, and every size past the sampler's word range is refused first."""
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4096, 65535, 65536, 65537])
-    def test_full_support_leaves_state(self, n):
-        rng = random.Random(n)
-        rng.getrandbits(45)
-        before = rng.getstate()
-        assert sample_positions(n, n, rng) == IndexSet.full(n)
-        assert rng.getstate() == before
+    @pytest.mark.parametrize("n", [0] + ADVANCE_SIZES)
+    def test_state_matches_shuffle(self, n):
+        # The full set is what any shuffle of range(n) sorts to, so the
+        # shuffle is not drawn: the generator must stay where it was, after
+        # no earlier draws or after a few.
+        for seed in range(3):
+            for prior in (0, 3):
+                rng = random.Random(seed)
+                for _ in range(prior):
+                    rng.sample(range(50), 7)
+                    rng.getrandbits(45)
+                before = rng.getstate()
+                assert sample_positions(n, n, rng) == IndexSet.full(n)
+                assert rng.getstate() == before, (seed, prior)
 
     def test_guard_comes_before_any_draw(self, monkeypatch):
         class NoDraws(random.Random):
