@@ -23,7 +23,6 @@ from .infomath import (
     derive_commit_params,
     derive_ot_params,
     inv_binary_entropy,
-    min_entropy,
     ot_feasible_gv,
     ot_gv_delta_threshold,
     rho,
@@ -35,7 +34,7 @@ from .hashing import ToeplitzHash, random_seed, seed_length, strong_extract
 from .ihash import DependentQueryError, IHOutcome, Querier, Respondent
 from .ot import OTReceiver, OTSender, TransferPayload
 from .reasons import Reason, SetupAbort
-from .source import BoundedMemory, SourceConfig, SourcePair, adversary_store, generate
+from .source import SourceConfig, SourcePair, generate
 from .subsets import DenseCode, subset_rank, subset_unrank
 
 __version__ = "0.1.0"
@@ -66,7 +65,6 @@ __all__ = [
     "ot_gv_delta_threshold",
     "zyablov_delta",
     "rho",
-    "min_entropy",
     "cond_min_entropy",
     "statistical_distance",
     "subset_size_for",
@@ -87,9 +85,7 @@ __all__ = [
     "Reason",
     "SourceConfig",
     "SourcePair",
-    "BoundedMemory",
     "generate",
-    "adversary_store",
     "DenseCode",
     "subset_rank",
     "subset_unrank",

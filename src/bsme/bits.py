@@ -23,13 +23,9 @@ def scatter_digits(ground: int, positions: Sequence[int], digits: bytes) -> int:
     back with a single ``int(..., 2)``.  The buffer keeps one spare leading
     zero so that an empty ground set still parses.
     """
-    if len(positions) == ground:
-        # Strictly increasing positions that fill the ground set are 0..ground-1.
-        buf = digits + b"0"
-    else:
-        buf = bytearray(b"0") * (ground + 1)
-        for pos, digit in zip(positions, digits):
-            buf[pos] = digit
+    buf = bytearray(b"0") * (ground + 1)
+    for pos, digit in zip(positions, digits):
+        buf[pos] = digit
     return int(buf[::-1], 2)
 
 
@@ -197,10 +193,6 @@ class IndexSet:
         raise AttributeError("IndexSet is immutable")
 
     @classmethod
-    def from_iterable(cls, ground: int, indices: Iterable[int]) -> "IndexSet":
-        return cls(ground, sorted(set(indices)))
-
-    @classmethod
     def full(cls, ground: int) -> "IndexSet":
         """Every index of ``[0, ground)``: increasing by construction, so
         the checks of ``__init__`` are skipped."""
@@ -254,10 +246,6 @@ class IndexSet:
                 raise ValueError(f"index {i} is not in the superset")
             rel.append(j)
         return IndexSet(len(sup), rel)
-
-    def __contains__(self, i: int) -> bool:
-        j = bisect_left(self._indices, i)
-        return j < len(self._indices) and self._indices[j] == i
 
     def __len__(self) -> int:
         return len(self._indices)

@@ -134,7 +134,6 @@ class FuzzyOutput:
 
     y: BitString
     p: BitString
-    seed: BitString
 
 
 def _blocks(x: BitString, block_len: int):
@@ -148,7 +147,7 @@ def fuzzy_ext(x: BitString, seed: BitString, out_len: int, code: LinearCode) -> 
         raise ValueError("input length must be a positive multiple of the code length")
     p = concat_all([code.syndrome(blk) for blk in _blocks(x, code.length)])
     y = strong_extract(x, seed, out_len)
-    return FuzzyOutput(y=y, p=p, seed=seed)
+    return FuzzyOutput(y=y, p=p)
 
 
 def fuzzy_rec(

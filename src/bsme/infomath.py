@@ -33,7 +33,6 @@ __all__ = [
     "inv_binary_entropy",
     "Distribution",
     "statistical_distance",
-    "min_entropy",
     "cond_min_entropy",
     "rho",
     "Feasibility",
@@ -114,26 +113,6 @@ class Distribution:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self._probs = clean
 
-    @classmethod
-    def uniform(cls, values) -> "Distribution":
-        vals = list(values)
-        p = 1.0 / len(vals)
-        probs: dict[Hashable, float] = {}
-        for v in vals:
-            probs[v] = probs.get(v, 0.0) + p
-        return cls(probs)
-
-    @classmethod
-    def point(cls, value) -> "Distribution":
-        return cls({value: 1.0})
-
-    @property
-    def support(self):
-        return self._probs.keys()
-
-    def prob(self, value) -> float:
-        return self._probs.get(value, 0.0)
-
     def items(self):
         return self._probs.items()
 
@@ -146,10 +125,6 @@ def statistical_distance(p: Distribution, q: Distribution) -> float:
     shared = sum(abs(pv - q_probs.get(v, 0.0)) for v, pv in p_probs.items())
     q_only = sum(qv for v, qv in q_probs.items() if v not in p_probs)
     return 0.5 * (shared + q_only)
-
-
-def min_entropy(p: Distribution) -> float:
-    return -math.log2(max(prob for _, prob in p.items()))
 
 
 def cond_min_entropy(joint: Distribution) -> float:

@@ -1,4 +1,4 @@
-"""The shared noisy source and the storage-bounded adversary model.
+"""The shared noisy source.
 
 ``generate`` draws the public string X together with the noisy view X~.
 X carries exactly ``ceil(alpha*n)`` uniformly placed uniform bits (the rest
@@ -127,62 +127,4 @@ def generate(cfg: SourceConfig) -> SourcePair:
     return SourcePair(
         x=x, x_tilde=x ^ errors.to_mask(), entropy_positions=support,
         error_positions=errors,
-    )
-
-
-@dataclass(frozen=True)
-class BoundedMemory:
-    """What a storage-bounded adversary kept: at most ``budget`` bits."""
-
-    budget: int
-    stored: BitString
-    descriptor: str
-    positions: IndexSet
-    truncated: bool = False
-
-    def __post_init__(self):
-        if self.stored.length > self.budget:
-            raise ValueError("stored bits exceed the storage budget")
-        if len(self.positions) != self.stored.length:
-            raise ValueError("positions must match stored length")
-
-
-def adversary_store(
-    x_tilde: BitString,
-    strategy: str = "prefix",
-    budget: int = 0,
-    rng: random.Random | None = None,
-    positions: IndexSet | None = None,
-) -> BoundedMemory:
-    """Store up to ``budget`` bits of the adversary's view.
-
-    Strategies: ``prefix`` keeps the first bits, ``random`` keeps a uniform
-    subset (needs ``rng``), ``positions`` keeps caller-chosen positions and
-    truncates to the budget when given too many.
-    """
-    n = x_tilde.length
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    truncated = False
-    if strategy == "prefix":
-        pos = IndexSet(n, range(min(budget, n)))
-    elif strategy == "random":
-        if rng is None:
-            raise ValueError("random strategy needs rng")
-        pos = sample_positions(n, min(budget, n), rng)
-    elif strategy == "positions":
-        if positions is None:
-            raise ValueError("positions strategy needs positions")
-        if positions.ground != n:
-            raise ValueError("ground mismatch")
-        if len(positions) > budget:
-            pos = IndexSet(n, positions.indices[:budget])
-            truncated = True
-        else:
-            pos = positions
-    else:
-        raise ValueError(f"unknown storage strategy {strategy!r}")
-    return BoundedMemory(
-        budget=budget, stored=x_tilde.restrict(pos),
-        descriptor=strategy, positions=pos, truncated=truncated,
     )

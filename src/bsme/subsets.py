@@ -26,9 +26,7 @@ def subset_rank(indices: Sequence[int]) -> int:
     r = 0
     for j, c in enumerate(indices):
         if c <= prev:
-            raise ValueError("indices must be strictly increasing")
-        if c < 0:
-            raise ValueError("indices must be non-negative")
+            raise ValueError("indices must be non-negative and strictly increasing")
         r += comb(c, j + 1)
         prev = c
     return r

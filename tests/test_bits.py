@@ -170,10 +170,6 @@ class TestIndexSet:
         with pytest.raises(ValueError):
             IndexSet(5, (-1,))
 
-    def test_from_iterable_sorts_and_dedups(self):
-        s = IndexSet.from_iterable(6, [4, 1, 4, 2])
-        assert s.indices == (1, 2, 4)
-
     def test_full_and_empty(self):
         assert IndexSet.full(3).indices == (0, 1, 2)
         assert len(IndexSet(3)) == 0

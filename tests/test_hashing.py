@@ -12,7 +12,7 @@ from bsme.hashing import (
     seed_length,
     strong_extract,
 )
-from bsme.infomath import Distribution, min_entropy, statistical_distance
+from bsme.infomath import Distribution, cond_min_entropy, statistical_distance
 
 
 def matrix_entry(diag: BitString, in_len: int, i: int, j: int) -> int:
@@ -118,8 +118,9 @@ class TestExtractor:
         # joint distance must respect 0.5 * 2**((m - Hmin)/2).
         in_len, out_len = 3, 1
         support = (0, 3, 5, 6)
-        src = Distribution.uniform([BitString(3, v) for v in support])
-        assert min_entropy(src) == pytest.approx(2.0)
+        # paired with a constant, X's conditional min-entropy is its own
+        src = Distribution({(BitString(3, v), None): 0.25 for v in support})
+        assert cond_min_entropy(src) == pytest.approx(2.0)
         n_seeds = 2 ** seed_length(in_len, out_len)
         joint = {}
         flat = {}

@@ -1,18 +1,22 @@
-"""No dead imports and no dead private helpers in `bsme`.
+"""No dead imports, no dead private helpers and no public code only tests reach.
 
 Every name a `bsme` module imports is used in it, and every `_`-prefixed
 function, class, method or module-level name is referenced somewhere in the
-package besides its own definition.  There is no linter in the toolchain, so
+package besides its own definition.  Every public module-level function and
+class has a caller in the system: the package, the benchmark, the console
+script, or the acceptance criteria.  There is no linter in the toolchain, so
 this walks each module's syntax tree.  Package `__init__` files are skipped by
 the import check, since importing to re-export is their job.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bsme"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bsme"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -107,3 +111,89 @@ def test_checker_sees_dead_and_live_private_names():
     )
     dead = {entry.split()[-1] for entry in dead_private_names({"m.py": tree})}
     assert dead == {"_UNUSED", "_dead", "_orphan"}
+
+
+def public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    return {
+        node.name: node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def name_uses(nodes) -> set[str]:
+    """`referenced_names` plus strings that are identifiers, such as the
+    attribute names the benchmark's span table wraps."""
+    refs = set()
+    for node in nodes:
+        refs |= referenced_names(node)
+        refs.update(
+            n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier()
+        )
+    return refs
+
+
+def is_all_assignment(node: ast.stmt) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def dead_public_names(trees: dict[str, ast.Module], outside: set[str]) -> list[str]:
+    """Public module-level functions and classes that no package module
+    outside the definition itself uses, and that are not in ``outside``.
+    Package `__init__` files and `__all__` lists are skipped: a re-export is
+    not a caller."""
+    modules = {where: tree for where, tree in trees.items() if Path(where).name != "__init__.py"}
+    # the names each top-level statement uses, so a definition's own body can be left out
+    stmt_uses = {
+        where: [(n, name_uses([n])) for n in tree.body if not is_all_assignment(n)]
+        for where, tree in modules.items()
+    }
+    dead = []
+    for where, tree in modules.items():
+        for name, node in public_definitions(tree).items():
+            used = name in outside or any(
+                name in uses for stmts in stmt_uses.values() for n, uses in stmts
+                if n is not node
+            )
+            if not used:
+                dead.append(f"{where}:{node.lineno} {name}")
+    return sorted(dead)
+
+
+def test_no_public_names_only_tests_reach():
+    """Methods are out of scope: a name-based check cannot tell them apart
+    where names collide (`row`, `bit`, `support`), so it would pass dead ones."""
+    trees = {
+        str(p.relative_to(SRC)): ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted(SRC.rglob("*.py"))
+    }
+    callers = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "bench").rglob("*.py"))]
+    callers.append(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+    # console scripts: `name = "module:function"` under [project.scripts]
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.findall(r'^[\w-]+\s*=\s*"[\w.]+:(\w+)"', pyproject, re.M)
+    outside = name_uses(callers) | set(scripts)
+    dead = dead_public_names(trees, outside)
+    assert not dead, f"public names only tests reach: {dead}"
+
+
+def test_checker_sees_dead_and_live_public_names():
+    lib = ast.parse(
+        "def called_here(x):\n    return x\n"
+        "def run(x):\n    return called_here(x)\n"
+        "def called_elsewhere():\n    pass\n"
+        "def by_outside():\n    pass\n"
+        "def reexported():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class SelfTyped:\n    def copy(self) -> 'SelfTyped':\n        return SelfTyped()\n"
+        "def exported_only():\n    pass\n"
+        "def _private():\n    pass\n"
+        "__all__ = ['run', 'exported_only']\n"
+    )
+    user = ast.parse("from .lib import called_elsewhere\ncalled_elsewhere()\n")
+    init = ast.parse("from .lib import reexported\n__all__ = ['reexported']\n")
+    trees = {"lib.py": lib, "user.py": user, "__init__.py": init}
+    dead = {entry.split()[-1] for entry in dead_public_names(trees, {"by_outside", "run"})}
+    assert dead == {"reexported", "recursive", "SelfTyped", "exported_only"}

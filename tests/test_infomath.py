@@ -18,7 +18,6 @@ from bsme.infomath import (
     derive_ot_params,
     floor_tol,
     inv_binary_entropy,
-    min_entropy,
     ot_feasible_gv,
     ot_gv_delta_threshold,
     rho,
@@ -73,8 +72,8 @@ class TestDistributions:
             Distribution({})
 
     def test_statistical_distance_extremes(self):
-        p = Distribution.point(0)
-        q = Distribution.point(1)
+        p = Distribution({0: 1.0})
+        q = Distribution({1: 1.0})
         assert statistical_distance(p, p) == 0.0
         assert statistical_distance(p, q) == pytest.approx(1.0)
 
@@ -83,13 +82,6 @@ class TestDistributions:
         q = Distribution({0: 0.25, 1: 0.25, 2: 0.5})
         # L1 = 0.25 + 0.25 + 0.5
         assert statistical_distance(p, q) == pytest.approx(0.5)
-
-    def test_min_entropy(self):
-        assert min_entropy(Distribution.uniform(range(8))) == pytest.approx(3.0)
-        assert min_entropy(Distribution.point("x")) == 0.0
-        assert min_entropy(Distribution({0: 0.75, 1: 0.25})) == pytest.approx(
-            -math.log2(0.75)
-        )
 
     def test_cond_min_entropy_is_worst_case(self):
         # given y=0 the value is fully determined, so the worst case is 0

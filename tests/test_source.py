@@ -9,14 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bsme.bits import BitString, IndexSet
-from bsme.source import (
-    BoundedMemory,
-    SourceConfig,
-    adversary_store,
-    generate,
-    sample_positions,
-    source_word,
-)
+from bsme.source import SourceConfig, generate, sample_positions, source_word
 
 
 class TestConfig:
@@ -92,56 +85,6 @@ class TestHelpers:
             assert all(w.bit(i) == 0 for i in range(12) if i not in support)
             counts.add(w.to_int())
         assert len(counts) > 1
-
-
-class TestAdversaryStore:
-    def test_prefix(self):
-        x = BitString.from_str("10110010")
-        mem = adversary_store(x, "prefix", budget=3)
-        assert mem.positions == IndexSet(8, (0, 1, 2))
-        assert mem.stored == BitString.from_str("101")
-        assert not mem.truncated
-
-    def test_prefix_budget_exceeds_n(self):
-        x = BitString.from_str("1011")
-        mem = adversary_store(x, "prefix", budget=10)
-        assert mem.stored == x
-
-    def test_random_needs_rng(self):
-        x = BitString.zeros(8)
-        with pytest.raises(ValueError):
-            adversary_store(x, "random", budget=2)
-        mem = adversary_store(x, "random", budget=2, rng=random.Random(9))
-        assert len(mem.positions) == 2
-
-    def test_positions_strategy_and_truncation(self):
-        x = BitString.from_str("11001010")
-        chosen = IndexSet(8, (1, 3, 6))
-        mem = adversary_store(x, "positions", budget=3, positions=chosen)
-        assert mem.positions == chosen and not mem.truncated
-        cut = adversary_store(x, "positions", budget=2, positions=chosen)
-        assert cut.truncated
-        assert cut.positions == IndexSet(8, (1, 3))
-        with pytest.raises(ValueError):
-            adversary_store(x, "positions", budget=3)
-        with pytest.raises(ValueError):
-            adversary_store(x, "positions", budget=3, positions=IndexSet(9, (1,)))
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            adversary_store(BitString.zeros(4), "everything", budget=4)
-
-    def test_budget_enforced_by_dataclass(self):
-        with pytest.raises(ValueError):
-            BoundedMemory(
-                budget=1, stored=BitString.zeros(2), descriptor="x",
-                positions=IndexSet(4, (0, 1)),
-            )
-        with pytest.raises(ValueError):
-            BoundedMemory(
-                budget=4, stored=BitString.zeros(2), descriptor="x",
-                positions=IndexSet(4, (0,)),
-            )
 
 
 class TestDumpLoad:
