@@ -84,6 +84,26 @@ def _apply_config(sub: argparse.ArgumentParser, config: dict) -> None:
     sub.set_defaults(**{k: v for k, v in config.items() if k in known})
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Holds ``--config`` defaults to their flags' ``choices``.
+
+    argparse passes a string default through the flag's ``type`` but never
+    checks it against ``choices``, while a value given as a flag has passed
+    both, so a value left outside ``choices`` came from the file.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            value = getattr(namespace, action.dest, None)
+            if action.choices is not None and value is not None and value not in action.choices:
+                raise ValueError(
+                    f"--config sets {action.dest}={value!r}; "
+                    f"choose from {', '.join(map(str, action.choices))}"
+                )
+        return namespace, extras
+
+
 def _bits_arg(text: str) -> BitString:
     return BitString.from_str(text)
 
@@ -133,7 +153,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         description="Commitment and oblivious transfer from a noisy public broadcast "
         "against storage-bounded adversaries.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=_SubcommandParser)
 
     p = subs.add_parser("feasibility", help="report achievable regimes for given rates")
     _add_rates(p, gamma_default=0.25, ell_default=16)

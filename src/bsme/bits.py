@@ -53,10 +53,6 @@ class BitString:
         return cls(length, 0)
 
     @classmethod
-    def ones(cls, length: int) -> "BitString":
-        return cls(length, (1 << length) - 1)
-
-    @classmethod
     def random(cls, length: int, rng: random.Random) -> "BitString":
         return cls(length, rng.getrandbits(length) if length else 0)
 
@@ -104,9 +100,6 @@ class BitString:
         if self._length != other._length:
             raise ValueError("length mismatch")
         return BitString(self._length, self._value ^ other._value)
-
-    def weight(self) -> int:
-        return self._value.bit_count()
 
     def hamming(self, other: "BitString") -> int:
         if self._length != other._length:
@@ -191,17 +184,6 @@ class IndexSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexSet is immutable")
-
-    @classmethod
-    def full(cls, ground: int) -> "IndexSet":
-        """Every index of ``[0, ground)``: increasing by construction, so
-        the checks of ``__init__`` are skipped."""
-        if ground < 0:
-            raise ValueError("ground must be non-negative")
-        full = object.__new__(cls)
-        object.__setattr__(full, "_ground", ground)
-        object.__setattr__(full, "_indices", tuple(range(ground)))
-        return full
 
     @classmethod
     def from_mask(cls, mask: BitString) -> "IndexSet":

@@ -52,9 +52,6 @@ class ToeplitzHash:
             raise ValueError("input length mismatch")
         return BitString(self.out_len, mat_vec(self._rows, x.to_int()))
 
-    def row(self, i: int) -> int:
-        return self._rows[i]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ToeplitzHash)

@@ -12,8 +12,10 @@ with ``sample_positions``, then the source bits with one
 error positions with a second ``sample_positions``.  ``sample_positions``
 draws its subset with the block sampler ``_uniform_subset``: k values when
 k <= n/2, else the n - k positions left out.  The full set (k = n, the
-support when alpha = 1) takes no generator words, so a full-support
-broadcast is one ``getrandbits(n)`` followed by the error draw.
+support when alpha = 1) leaves nothing out and so takes no generator words;
+``generate`` then builds no support at all, and a full-support broadcast is
+one ``getrandbits(n)`` followed by the error draw.  Only the two views are
+kept: the error positions are ``IndexSet.from_mask(x ^ x_tilde)``.
 ``sample_positions`` refuses n >= 2**32 for every k, since the sampler
 draws 32-bit words.
 """
@@ -52,8 +54,6 @@ class SourcePair:
 
     x: BitString
     x_tilde: BitString
-    entropy_positions: IndexSet
-    error_positions: IndexSet
 
     def __post_init__(self):
         if self.x.length != self.x_tilde.length:
@@ -96,8 +96,6 @@ def sample_positions(n: int, k: int, rng: random.Random) -> IndexSet:
         raise ValueError("need 0 <= k <= n")
     if n >= 1 << 32:
         raise ValueError("need n < 2**32")
-    if k == n:
-        return IndexSet.full(n)
     if 2 * k <= n:
         return IndexSet(n, sorted(_uniform_subset(n, k, rng)))
     left_out = _uniform_subset(n, n - k, rng)
@@ -112,8 +110,6 @@ def source_word(support: IndexSet, rng: random.Random) -> BitString:
     """
     n, k = support.ground, len(support)
     drawn = rng.getrandbits(k)
-    if k == n:
-        return BitString(n, drawn)
     digits = format(drawn, f"0{k}b").encode()[::-1]
     return BitString(n, scatter_digits(n, support.indices, digits))
 
@@ -121,10 +117,10 @@ def source_word(support: IndexSet, rng: random.Random) -> BitString:
 def generate(cfg: SourceConfig) -> SourcePair:
     rng = random.Random(cfg.seed)
     n = cfg.n
-    support = sample_positions(n, math.ceil(cfg.alpha * n), rng)
-    x = source_word(support, rng)
+    k = math.ceil(cfg.alpha * n)
+    if k == n:
+        x = BitString(n, rng.getrandbits(n))
+    else:
+        x = source_word(sample_positions(n, k, rng), rng)
     errors = sample_positions(n, floor_tol(cfg.delta * n), rng)
-    return SourcePair(
-        x=x, x_tilde=x ^ errors.to_mask(), entropy_positions=support,
-        error_positions=errors,
-    )
+    return SourcePair(x=x, x_tilde=x ^ errors.to_mask())

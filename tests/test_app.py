@@ -713,6 +713,27 @@ class TestCLI:
         assert cli.main(["commit", "--config", str(bad)]) == cli.EXIT_USAGE
         assert cli.main(["commit", f"--config={tmp_path / 'missing.cfg'}"]) == cli.EXIT_USAGE
 
+    def test_config_which_outside_choices_exits_usage(self, tmp_path, capsys):
+        # argparse never checks a default against choices; an unchecked
+        # `which` would run no attack at all and report a pass
+        cfg = tmp_path / "attack.cfg"
+        cfg.write_text("which = bogus\ntrials = 5\n")
+        assert cli.main(["attack", "--config", str(cfg), "--json"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "which" in captured.err and "bogus" in captured.err
+        assert captured.out == ""
+
+    def test_config_code_outside_choices_exits_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "ot.cfg"
+        cfg.write_text("code = bogus\n")
+        assert cli.main(["ot", "--config", str(cfg)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "code" in captured.err and "bogus" in captured.err
+        assert captured.out == ""
+        # a flag still overrides the file's value
+        assert cli.main(["ot", "--config", str(cfg), "--code", "hamming", "--n", "1024",
+                         "--ell", "14"]) == cli.EXIT_OK
+
     @pytest.mark.parametrize("argv", [
         ["lemmas", "--trials", "0"],
         ["attack", "--trials", "0"],
@@ -731,7 +752,7 @@ class TestCLI:
         import json
         params = derive_ot_params(n=1024, ell=14, code=LinearCode.hamming_7_4())
         s0 = BitString.zeros(params.payload_len).to_str()
-        s1 = BitString.ones(params.payload_len).to_str()
+        s1 = "1" * params.payload_len
         ends = dict(zip(("A", "B"), channel.socketpair_channels()))
         monkeypatch.setattr(cli, "listen_channel", lambda host, port, label: ends[label])
         monkeypatch.setattr(cli, "connect_channel", lambda host, port, label: ends[label])

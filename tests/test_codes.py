@@ -27,7 +27,7 @@ class TestHamming:
         # bit0-first strings of the seven minimum-weight words
         c = LinearCode.hamming_7_4()
         words = {BitString(7, v).to_str() for v in all_codewords(c)
-                 if BitString(7, v).weight() == 3}
+                 if v.bit_count() == 3}
         # hand-checked against the parity rows: row b covers positions j
         # with bit b set in j+1
         assert words == {

@@ -49,8 +49,9 @@ class TestHonest:
         accepted = 0
         for seed in range(8):
             res, com, ver, _ = run(NOISY, seed, noisy=True)
-            errors = generate(SourceConfig(n=NOISY.n, alpha=NOISY.alpha, delta=NOISY.delta,
-                                           seed=f"{seed}:src")).error_positions
+            pair = generate(SourceConfig(n=NOISY.n, alpha=NOISY.alpha, delta=NOISY.delta,
+                                         seed=f"{seed}:src"))
+            errors = IndexSet.from_mask(pair.x ^ pair.x_tilde)
             overlap = com.a.intersect(ver.b)
             noise = len(overlap.intersect(errors))
             if noise > floor_tol((NOISY.delta + NOISY.zeta) * len(overlap)):

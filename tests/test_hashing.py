@@ -63,13 +63,14 @@ class TestToeplitz:
                              == ToeplitzHash(in_len, out_len, s)(y))
             assert collisions == 4
 
-    def test_row_accessor(self):
+    def test_unit_vectors_give_columns(self):
+        # h(e_j) is column j of the matrix
         diag = BitString.from_str("10110")
         h = ToeplitzHash(3, 3, diag)
-        for i in range(3):
-            row = h.row(i)
-            for j in range(3):
-                assert (row >> j) & 1 == matrix_entry(diag, 3, i, j)
+        for j in range(3):
+            column = h(BitString(3, 1 << j))
+            for i in range(3):
+                assert column.bit(i) == matrix_entry(diag, 3, i, j)
 
     @given(st.integers(1, 300), st.integers(1, 40), st.data())
     def test_first_row_matches_reference(self, in_len, out_len, data):
@@ -81,10 +82,11 @@ class TestToeplitz:
         for j in range(in_len):
             expect |= ((d >> (in_len - 1 - j)) & 1) << j
         h = ToeplitzHash(in_len, out_len, diag)
-        assert h.row(0) == expect
-        for i in range(out_len):
-            assert all((h.row(i) >> j) & 1 == matrix_entry(diag, in_len, i, j)
-                       for j in range(in_len))
+        columns = [h(BitString(in_len, 1 << j)).to_int() for j in range(in_len)]
+        assert sum((c & 1) << j for j, c in enumerate(columns)) == expect
+        for j, column in enumerate(columns):
+            assert all((column >> i) & 1 == matrix_entry(diag, in_len, i, j)
+                       for i in range(out_len))
 
     def test_eq(self):
         a = ToeplitzHash(3, 2, BitString(4, 0b1010))

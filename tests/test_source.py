@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bsme.bits import BitString, IndexSet
-from bsme.source import SourceConfig, generate, sample_positions, source_word
+from bsme.infomath import floor_tol
+from bsme.source import SourceConfig, SourcePair, generate, sample_positions, source_word
 
 
 class TestConfig:
@@ -32,9 +34,10 @@ class TestGenerate:
 
     @given(st.integers(1, 96), st.floats(0.0, 1.0), st.integers(0, 2**16))
     def test_support_size_and_zeros(self, n, alpha, seed):
+        # the support is the first draw of the seed's generator
         pair = generate(SourceConfig(n=n, alpha=alpha, seed=seed))
-        assert len(pair.entropy_positions) == math.ceil(alpha * n)
-        support = set(pair.entropy_positions)
+        support = sample_positions(n, math.ceil(alpha * n), random.Random(seed))
+        assert len(support) == math.ceil(alpha * n)
         assert all(pair.x.bit(i) == 0 for i in range(n) if i not in support)
 
     @given(st.integers(1, 96), st.floats(0.0, 0.5), st.integers(0, 2**16))
@@ -42,16 +45,23 @@ class TestGenerate:
         pair = generate(SourceConfig(n=n, delta=delta, seed=seed))
         expected = math.floor(delta * n + 1e-9)
         assert pair.x.hamming(pair.x_tilde) == expected
-        assert len(pair.error_positions) == expected
+        assert len(IndexSet.from_mask(pair.x ^ pair.x_tilde)) == expected
+
+    def test_full_support_peak_memory(self):
+        # Only the two views are built: a tuple of the n positions alone
+        # would take 8 bytes per position.
+        n = 2**18
+        tracemalloc.start()
+        try:
+            generate(SourceConfig(n=n, alpha=1.0, delta=0.02, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
 
     def test_pair_length_check(self):
         with pytest.raises(ValueError):
-            from bsme.source import SourcePair
-            SourcePair(
-                x=BitString.zeros(4), x_tilde=BitString.zeros(5),
-                entropy_positions=IndexSet.full(4),
-                error_positions=IndexSet(4),
-            )
+            SourcePair(x=BitString.zeros(4), x_tilde=BitString.zeros(5))
 
 
 class TestHelpers:
@@ -90,11 +100,13 @@ class TestHelpers:
 class TestDumpLoad:
     # a pair is dumped and loaded as its two views packed to bytes
     def test_roundtrip_views(self):
-        # both views survive byte packing, and their difference is the error set
+        # both views survive byte packing, and so does the error set they carry
         pair = generate(SourceConfig(n=37, alpha=0.8, delta=0.1, seed=12))
-        for view in (pair.x, pair.x_tilde):
-            assert BitString.from_bytes(view.to_bytes(), 37) == view
-        assert IndexSet.from_mask(pair.x ^ pair.x_tilde) == pair.error_positions
+        loaded = [BitString.from_bytes(view.to_bytes(), 37) for view in (pair.x, pair.x_tilde)]
+        assert loaded == [pair.x, pair.x_tilde]
+        errors = IndexSet.from_mask(pair.x ^ pair.x_tilde)
+        assert len(errors) == floor_tol(0.1 * 37)
+        assert IndexSet.from_mask(loaded[0] ^ loaded[1]) == errors
 
     def test_load_rejects_bad_lengths(self):
         pair = generate(SourceConfig(n=16, seed=0))
@@ -149,12 +161,12 @@ class TestStreamEquivalence:
 
     @pytest.mark.parametrize("n", [0, 1, 7, 31, 32, 33, 100, 1000])
     def test_source_word_full_and_empty_support(self, n):
-        for support in (IndexSet.full(n), IndexSet(n)):
+        for support in (IndexSet(n, range(n)), IndexSet(n)):
             fast, ref = random.Random(n), random.Random(n)
             assert source_word(support, fast) == source_word_ref(support, ref)
             assert fast.getstate() == ref.getstate()
         # at full support the source word is the draw itself
-        full = source_word(IndexSet.full(n), random.Random(n))
+        full = source_word(IndexSet(n, range(n)), random.Random(n))
         assert full.to_int() == random.Random(n).getrandbits(n)
 
     @given(st.integers(0, 300), st.data())
@@ -197,7 +209,7 @@ class TestFullSupportAdvance:
                     rng.sample(range(50), 7)
                     rng.getrandbits(45)
                 before = rng.getstate()
-                assert sample_positions(n, n, rng) == IndexSet.full(n)
+                assert sample_positions(n, n, rng) == IndexSet(n, range(n))
                 assert rng.getstate() == before, (seed, prior)
 
     def test_guard_comes_before_any_draw(self, monkeypatch):
@@ -205,10 +217,10 @@ class TestFullSupportAdvance:
             def getrandbits(self, k):
                 raise AssertionError("drew from the generator")
 
-        def no_full_set(ground):
-            raise AssertionError("built the full set")
+        def no_index_set(self, ground, indices=()):
+            raise AssertionError("built an index set")
 
-        monkeypatch.setattr(IndexSet, "full", no_full_set)
+        monkeypatch.setattr(IndexSet, "__init__", no_index_set)
         for n in (1 << 32, (1 << 32) + 1, 1 << 40):
             for k in (0, 1, n // 2, n - 1, n):
                 with pytest.raises(ValueError):
@@ -225,16 +237,21 @@ def stream_digest(n: int, alpha: float, delta: float) -> str:
         pair = generate(SourceConfig(n=n, alpha=alpha, delta=delta, seed=seed))
         for part in (pair.x, pair.x_tilde):
             h.update(part.length.to_bytes(8, "little") + part.to_bytes())
-        for pos in (pair.entropy_positions, pair.error_positions):
+        # the positions generate drew, replayed through the references
+        rng = random.Random(seed)
+        support = sample_positions_ref(n, math.ceil(alpha * n), rng)
+        source_word_ref(support, rng)
+        errors = sample_positions_ref(n, floor_tol(delta * n), rng)
+        for pos in (support, errors):
             h.update(repr(pos.indices).encode())
     return h.hexdigest()
 
 
-# SHA-256 of generate's (x, x_tilde, entropy positions, error positions) for
-# seeds 0-2, taken from the per-word and per-bit references above.  Any
-# change to how the generator is consumed changes these, and with them every
-# seeded session.  The rows cover the full support, a support drawn directly
-# and one drawn as its complement.
+# SHA-256 of generate's (x, x_tilde) and the (entropy positions, error
+# positions) replayed for them, for seeds 0-2, taken from the per-word and
+# per-bit references above.  Any change to how the generator is consumed
+# changes these, and with them every seeded session.  The rows cover the
+# full support, a support drawn directly and one drawn as its complement.
 FROZEN_STREAMS = [
     (65536, 1.0, 0.02,
      "dbb4abd2c6bace8ecad9b26756d24a04fd311df4ef3ac76f4b3e79a4d19b7731"),

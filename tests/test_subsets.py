@@ -110,8 +110,8 @@ class TestDenseCode:
         dc = DenseCode(3, 3, 2)
         assert dc.n_subsets == 1 and dc.t_m == 4
         for copy in range(4):
-            w = dc.encode(IndexSet.full(3), copy)
-            assert dc.decode(w) == (IndexSet.full(3), copy)
+            w = dc.encode(IndexSet(3, range(3)), copy)
+            assert dc.decode(w) == (IndexSet(3, range(3)), copy)
 
     def test_random_copy_range(self):
         dc = DenseCode(5, 2, 5)
