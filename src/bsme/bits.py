@@ -186,13 +186,21 @@ class IndexSet:
         raise AttributeError("IndexSet is immutable")
 
     @classmethod
+    def _increasing(cls, ground: int, indices: Iterable[int]) -> "IndexSet":
+        """Unchecked constructor for indices built strictly increasing in ``[0, ground)``."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "_ground", ground)
+        object.__setattr__(s, "_indices", tuple(indices))
+        return s
+
+    @classmethod
     def from_mask(cls, mask: BitString) -> "IndexSet":
         n = mask.length
         # Each "1" of the reversed binary text (bit 0 first) closes a run of
         # zeros; the j-th set bit sits after j earlier ones and the zeros so far.
         runs = format(mask.to_int(), f"0{n}b")[::-1].split("1")
         runs.pop()
-        return cls(n, map(add, accumulate(map(len, runs)), count()))
+        return cls._increasing(n, map(add, accumulate(map(len, runs)), count()))
 
     @property
     def ground(self) -> int:
@@ -209,8 +217,8 @@ class IndexSet:
     def intersect(self, other: "IndexSet") -> "IndexSet":
         if self._ground != other._ground:
             raise ValueError("ground mismatch")
-        common = sorted(set(self._indices) & set(other._indices))
-        return IndexSet(self._ground, common)
+        common = sorted(set(self._indices).intersection(other._indices))
+        return IndexSet._increasing(self._ground, common)
 
     def positions_within(self, superset: "IndexSet") -> "IndexSet":
         """Relative positions of this set inside ``superset``.
@@ -227,7 +235,7 @@ class IndexSet:
             if j >= len(sup) or sup[j] != i:
                 raise ValueError(f"index {i} is not in the superset")
             rel.append(j)
-        return IndexSet(len(sup), rel)
+        return IndexSet._increasing(len(sup), rel)
 
     def __len__(self) -> int:
         return len(self._indices)

@@ -6,6 +6,12 @@ For any fixed pair x != y the digests collide for exactly a ``2**-out_len``
 fraction of seeds, which also gives the leftover-hash extraction bound
 
     SD((hash(X), seed), (uniform, seed)) <= 0.5 * 2**((out_len - Hmin(X)) / 2).
+
+No matrix is built.  With ``rev`` the diagonal in reverse bit order, row i is
+the window ``rev >> (out_len-1-i)``, and digest bit ``out_len-1-s`` is the
+parity of ``(rev >> s) & x``.  Since that parity equals the parity of
+``(rev >> 8*b) & (x << r)`` for ``s = 8*b + r``, one shift of the diagonal
+serves eight digest bits against eight shifted copies of x made once per call.
 """
 
 from __future__ import annotations
@@ -13,15 +19,17 @@ from __future__ import annotations
 import random
 
 from .bits import BitString
-from .gf2 import mat_vec
 
 __all__ = ["ToeplitzHash", "strong_extract", "seed_length", "random_seed"]
+
+# Digest bits evaluated per shift of the reversed diagonal.
+_GROUP = 8
 
 
 class ToeplitzHash:
     """Linear hash given by a Toeplitz matrix over GF(2)."""
 
-    __slots__ = ("in_len", "out_len", "diag", "_rows")
+    __slots__ = ("in_len", "out_len", "diag", "_rev")
 
     def __init__(self, in_len: int, out_len: int, diag: BitString):
         if in_len < 1 or out_len < 1:
@@ -31,17 +39,8 @@ class ToeplitzHash:
         self.in_len = in_len
         self.out_len = out_len
         self.diag = diag
-        d = diag.to_int()
-        mask = (1 << in_len) - 1
-        # Row i holds matrix entries (i, j) at bit j; consecutive rows shift
-        # the diagonal window by one.  Row 0 is the low in_len diagonal bits
-        # in reverse order.
-        row = int(format(d & mask, f"0{in_len}b")[::-1], 2)
-        rows = [row]
-        for i in range(1, out_len):
-            row = ((row << 1) & mask) | ((d >> (i + in_len - 1)) & 1)
-            rows.append(row)
-        self._rows = tuple(rows)
+        # The display string puts bit 0 first, so it reads as the reversal.
+        self._rev = int(diag.to_str(), 2)
 
     @classmethod
     def random(cls, in_len: int, out_len: int, rng: random.Random) -> "ToeplitzHash":
@@ -50,7 +49,16 @@ class ToeplitzHash:
     def __call__(self, x: BitString) -> BitString:
         if x.length != self.in_len:
             raise ValueError("input length mismatch")
-        return BitString(self.out_len, mat_vec(self._rows, x.to_int()))
+        out_len = self.out_len
+        v = x.to_int()
+        shifted = [v << r for r in range(min(_GROUP, out_len))]
+        # Digit s is the parity for shift s, the digest's bit out_len-1-s, so
+        # the digits read most significant first; the last group may run up
+        # to _GROUP-1 digits past out_len.
+        digits = bytes([48 | (window & xr).bit_count() & 1
+                        for window in map(self._rev.__rshift__, range(0, out_len, _GROUP))
+                        for xr in shifted])
+        return BitString(out_len, int(digits[:out_len], 2))
 
     def __eq__(self, other) -> bool:
         return (
@@ -73,9 +81,8 @@ def random_seed(in_len: int, out_len: int, rng: random.Random) -> BitString:
 
 
 def strong_extract(x: BitString, seed: BitString, out_len: int) -> BitString:
-    """Extract ``out_len`` nearly uniform bits from x using a public seed."""
-    if out_len < 1:
-        raise ValueError("out_len must be positive")
-    if seed.length != x.length + out_len - 1:
-        raise ValueError("seed length must be len(x) + out_len - 1")
+    """Extract ``out_len`` nearly uniform bits from x using a public seed.
+
+    The seed must hold ``len(x) + out_len - 1`` bits; the hash checks it.
+    """
     return ToeplitzHash(x.length, out_len, seed)(x)

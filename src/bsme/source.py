@@ -97,9 +97,9 @@ def sample_positions(n: int, k: int, rng: random.Random) -> IndexSet:
     if n >= 1 << 32:
         raise ValueError("need n < 2**32")
     if 2 * k <= n:
-        return IndexSet(n, sorted(_uniform_subset(n, k, rng)))
+        return IndexSet._increasing(n, sorted(_uniform_subset(n, k, rng)))
     left_out = _uniform_subset(n, n - k, rng)
-    return IndexSet(n, filterfalse(left_out.__contains__, range(n)))
+    return IndexSet._increasing(n, filterfalse(left_out.__contains__, range(n)))
 
 
 def source_word(support: IndexSet, rng: random.Random) -> BitString:

@@ -83,7 +83,7 @@ class DenseCode:
         if v >= self.t_m * self.n_subsets:
             return None
         copy, r = divmod(v, self.n_subsets)
-        return IndexSet(self.k, subset_unrank(r, self.k, self.ell)), copy
+        return IndexSet._increasing(self.k, subset_unrank(r, self.k, self.ell)), copy
 
     def random_copy(self, rng: random.Random) -> int:
         return rng.randrange(self.t_m)

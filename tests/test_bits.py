@@ -159,6 +159,11 @@ class TestBitStringOps:
         assert len(x) == 3
 
 
+def rechecked(s: IndexSet) -> IndexSet:
+    """The same indices passed through the public, checking constructor."""
+    return IndexSet(s.ground, s.indices)
+
+
 class TestIndexSet:
     def test_init_requires_strictly_increasing(self):
         with pytest.raises(ValueError):
@@ -169,6 +174,16 @@ class TestIndexSet:
             IndexSet(5, (5,))
         with pytest.raises(ValueError):
             IndexSet(5, (-1,))
+
+    @given(st.integers(2, 40), st.data())
+    def test_init_refuses_any_misplaced_index(self, ground, data):
+        idx = sorted(data.draw(st.sets(st.integers(0, ground - 1), min_size=2)))
+        at = data.draw(st.integers(0, len(idx) - 2))
+        swapped = idx[:at] + [idx[at + 1], idx[at]] + idx[at + 2:]
+        repeated = idx[:at + 1] + idx[at:]
+        for bad in (swapped, repeated, idx + [ground], [-1] + idx):
+            with pytest.raises(ValueError):
+                IndexSet(ground, bad)
 
     def test_full_and_empty(self):
         assert IndexSet(3, range(3)).indices == (0, 1, 2)
@@ -187,7 +202,9 @@ class TestIndexSet:
     def test_intersect_matches_set_intersection(self, a, data):
         idx = data.draw(st.lists(st.integers(0, a.ground - 1), unique=True)) if a.ground else []
         b = IndexSet(a.ground, sorted(idx))
-        assert set(a.intersect(b)) == set(a) & set(b)
+        common = a.intersect(b)
+        assert set(common) == set(a) & set(b)
+        assert common == rechecked(common)
 
     def test_intersect_ground_mismatch(self):
         with pytest.raises(ValueError):
@@ -212,6 +229,7 @@ class TestIndexSet:
         sub = IndexSet(sup.ground, sorted(pick))
         rel = sub.positions_within(sup)
         assert rel.ground == len(sup)
+        assert rel == rechecked(rel)
         assert IndexSet(sup.ground, [sup.indices[j] for j in rel]) == sub
 
     def test_select_ground_check(self):

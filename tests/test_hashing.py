@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -31,10 +32,12 @@ class TestToeplitz:
         with pytest.raises(ValueError):
             h(BitString.zeros(4))
 
-    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**10), st.integers(0, 2**6))
-    def test_matches_matrix_definition(self, in_len, out_len, dseed, xval):
-        diag = BitString(in_len + out_len - 1, dseed % 2 ** (in_len + out_len - 1))
-        x = BitString(in_len, xval % 2**in_len)
+    # Widths past 8 digest bits reach a second group of the grouped kernel.
+    @given(st.integers(1, 70), st.integers(1, 20), st.integers(0, 2**32))
+    def test_matches_matrix_definition(self, in_len, out_len, seed):
+        rng = random.Random(seed)
+        diag = BitString.random(in_len + out_len - 1, rng)
+        x = BitString.random(in_len, rng)
         h = ToeplitzHash(in_len, out_len, diag)
         got = h(x)
         for i in range(out_len):
@@ -43,13 +46,27 @@ class TestToeplitz:
                 expect ^= matrix_entry(diag, in_len, i, j) & x.bit(j)
             assert got.bit(i) == expect
 
-    @given(st.integers(1, 6), st.integers(1, 5), st.data())
-    def test_linearity(self, in_len, out_len, data):
-        rng = random.Random(data.draw(st.integers(0, 2**20)))
+    @given(st.integers(1, 70), st.integers(1, 20), st.integers(0, 2**32))
+    def test_linearity(self, in_len, out_len, seed):
+        rng = random.Random(seed)
         h = ToeplitzHash.random(in_len, out_len, rng)
         x = BitString.random(in_len, rng)
         y = BitString.random(in_len, rng)
         assert h(x ^ y) == h(x) ^ h(y)
+
+    @pytest.mark.parametrize("seed,digest", [
+        (1, "84891108237d6b00fae31b9336925b52f00d932032ef3c488d1e03f259ce4811"),
+        (2, "887a84d7a1bcc7fbf91c7a5c79539d84e60aa61c571b8c6282af812421dfcd51"),
+        (3, "6602efa81eeee38237d23f62e0994bf837a19e09546808415098b24e96f6720b"),
+    ])
+    def test_commit_point_digests_are_frozen(self, seed, digest):
+        # k=2,048 sampled bits hashed to 1,499, as in the n=65,536 commitment;
+        # the digests were taken from the row-by-row matrix product.
+        rng = random.Random(seed)
+        h = ToeplitzHash.random(2048, 1499, rng)
+        out = h(BitString.random(2048, rng))
+        assert out.length == 1499
+        assert hashlib.sha256(out.to_bytes()).hexdigest() == digest
 
     def test_exact_two_universality(self):
         # in=3, out=2: every distinct pair must collide for exactly
