@@ -7,7 +7,7 @@ protocols (commit, ot), adversarial checks (harness), and the transport and
 command line layer (app).
 """
 
-from .bits import BitString, IndexSet, concat_all
+from .bits import BitString, IndexSet
 from .codes import FuzzyOutput, LinearCode, fuzzy_ext, fuzzy_rec
 from .commit import CommitMessage, Committer, OpenMessage, Verifier, VerifyResult
 from .infomath import (
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BitString",
     "IndexSet",
-    "concat_all",
     "LinearCode",
     "FuzzyOutput",
     "fuzzy_ext",

@@ -27,7 +27,9 @@ from ..harness import (
     ot_offbranch_distance,
 )
 from ..infomath import (
+    EPS_PRIME,
     ParameterError,
+    check_code_fit,
     commit_delta_threshold,
     commit_feasible,
     derive_commit_params,
@@ -158,7 +160,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = subs.add_parser("feasibility", help="report achievable regimes for given rates")
     _add_rates(p, gamma_default=0.25, ell_default=16)
-    p.add_argument("--eps-prime", type=float, default=2.0**-32)
+    p.add_argument("--eps-prime", type=float, default=EPS_PRIME)
     _add_common(p)
     _apply_config(p, config)
     p.set_defaults(func=cmd_feasibility)
@@ -297,17 +299,18 @@ def cmd_commit(args) -> int:
 
 
 def _pick_code(args) -> LinearCode:
+    """The named code, or for ``auto`` the first stock code that fits; when
+    none does, the last one's refusal."""
     if args.code != "auto":
         return _CODES[args.code]()
-    reach = args.delta + args.xi
     for name in ("hamming", "repetition3", "repetition5", "trivial"):
         code = _CODES[name]()
-        if args.ell % code.length == 0 and reach * code.length <= code.radius + 1e-9:
+        try:
+            check_code_fit(args.ell, code, args.delta, args.xi)
             return code
-    raise ParameterError(
-        "(delta + xi) * code.length <= code.radius",
-        "no stock code fits this ell and noise; pass --code explicitly",
-    )
+        except ParameterError as refusal:
+            last = refusal
+    raise last
 
 
 def cmd_ot(args) -> int:
@@ -336,10 +339,9 @@ def cmd_ot(args) -> int:
         "correct": outcome.correct,
         "frames": len(outcome.transcript),
     }
-    dim = params.code.length - params.code.syndrome_len
     lines = [
         f"n={params.n} k={params.k} m={params.m} t={params.t} payload={params.payload_len} "
-        f"code=[{params.code.length},{dim}]",
+        f"code=[{params.code.length},{params.code.dimension}]",
         f"choice={outcome.choice}",
         f"completed={outcome.completed} reason={outcome.reason.label} correct={outcome.correct}",
         f"frames={len(outcome.transcript)}",
@@ -416,12 +418,11 @@ def cmd_lemmas(args) -> int:
     held, worst = lemma_binom_bound()
     checks.append({"name": "lemma-binom", "worst_ratio": worst, "passed": held})
     lines.append(f"attack=lemma-binom worst_ratio={worst:.6g} pass={held}")
-    h_min, lower = lemma_entropy_hd(n=8, alpha=0.75, delta=0.125, seed=args.seed)
-    entropy_ok = h_min >= lower - 1e-9
-    checks.append({"name": "lemma-entropy-hd", "h_min": h_min, "lower": lower,
-                   "passed": entropy_ok})
-    lines.append(f"attack=lemma-entropy-hd h_min={h_min:.6g} lower={lower:.6g} "
-                 f"pass={entropy_ok}")
+    entropy = lemma_entropy_hd(n=8, alpha=0.75, delta=0.125, seed=args.seed)
+    checks.append({"name": "lemma-entropy-hd", "h_min": entropy.h_min, "lower": entropy.lower,
+                   "passed": entropy.passed})
+    lines.append(f"attack=lemma-entropy-hd h_min={entropy.h_min:.6g} lower={entropy.lower:.6g} "
+                 f"pass={entropy.passed}")
     ok = all(c["passed"] for c in checks)
     _emit(args, {"checks": checks, "passed": ok}, lines)
     return EXIT_OK if ok else EXIT_BOUND

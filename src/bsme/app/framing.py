@@ -156,7 +156,7 @@ def encode_frame(tag: int, fields: Sequence[BitString]) -> bytes:
     out = bytearray([tag])
     out += len(fields).to_bytes(4, "big")
     for f in fields:
-        out += f.length.to_bytes(4, "big")
+        out += _check_field_bits(f.length).to_bytes(4, "big")
         out += f.to_bytes()
     return bytes(out)
 

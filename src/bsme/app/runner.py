@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from ..bits import BitString
 from ..commit import CommitMessage, Committer, OpenMessage, Verifier
-from ..hashing import ToeplitzHash, seed_length
 from ..infomath import CommitParams, OTParams
 from ..ot import OTReceiver, OTSender, TransferPayload
 from ..reasons import Reason, SetupAbort
@@ -152,12 +151,7 @@ def _play(chan, party, pair: SourcePair, steps, failed: dict) -> dict:
 
 
 def _committer(chan, party: Committer) -> dict:
-    p = party.params
-    diag = _expect(chan, HashDesc).diag
-    if diag.length != seed_length(p.k, p.digest_len):
-        raise _Abort(Reason.MALFORMED_MESSAGE, _MALFORMED)
-    g = ToeplitzHash(p.k, p.digest_len, diag)
-    _send(chan, party.make_commitment(g))
+    _send(chan, party.make_commitment(_expect(chan, HashDesc).diag))
     _send(chan, party.open())
     result = _expect(chan, ResultMsg)
     opened = result.value if result.ok else None
@@ -165,7 +159,7 @@ def _committer(chan, party: Committer) -> dict:
 
 
 def _verifier(chan, party: Verifier) -> dict:
-    _send(chan, HashDesc(party.choose_hash().diag))
+    _send(chan, HashDesc(party.choose_hash()))
     reject = _closing(False, Reason.MALFORMED_MESSAGE)
     party.receive_commitment(_expect(chan, CommitMessage, reject))
     opening = _expect(chan, OpenMessage, reject)

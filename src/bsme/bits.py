@@ -115,17 +115,6 @@ class BitString:
         picked = "".join(map(text.__getitem__, positions))
         return BitString(len(positions), int("0" + picked[::-1], 2))
 
-    def slice_bits(self, start: int, count: int) -> "BitString":
-        if start < 0 or count < 0 or start + count > self._length:
-            raise ValueError("slice out of range")
-        return BitString(count, (self._value >> start) & ((1 << count) - 1))
-
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString(
-            self._length + other._length,
-            self._value | (other._value << self._length),
-        )
-
     def flip(self, i: int) -> "BitString":
         if not 0 <= i < self._length:
             raise IndexError("bit index out of range")
@@ -157,13 +146,6 @@ class BitString:
 
 _set_length = BitString._length.__set__
 _set_value = BitString._value.__set__
-
-
-def concat_all(parts: Sequence[BitString]) -> BitString:
-    out = BitString.zeros(0)
-    for p in parts:
-        out = out.concat(p)
-    return out
 
 
 class IndexSet:

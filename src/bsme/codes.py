@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf2
-from .bits import BitString, concat_all
+from .bits import BitString
 from .hashing import strong_extract
 
 __all__ = ["LinearCode", "FuzzyOutput", "fuzzy_ext", "fuzzy_rec"]
@@ -136,16 +136,19 @@ class FuzzyOutput:
     p: BitString
 
 
-def _blocks(x: BitString, block_len: int):
-    for b in range(x.length // block_len):
-        yield x.slice_bits(b * block_len, block_len)
+def _block_syndromes(x: BitString, code: LinearCode) -> int:
+    """Every block's syndrome in one parity product: row ``b*r + j`` is the
+    code's row j shifted to block b, so block b's syndrome sits at bit b*r."""
+    if x.length == 0 or x.length % code.length != 0:
+        raise ValueError("input length must be a positive multiple of the code length")
+    rows = [row << b * code.length for b in range(x.length // code.length) for row in code.rows]
+    return gf2.mat_vec(rows, x.to_int())
 
 
 def fuzzy_ext(x: BitString, seed: BitString, out_len: int, code: LinearCode) -> FuzzyOutput:
     """Payload plus helper string; blockwise syndromes leak (1-R)*len(x) bits."""
-    if x.length == 0 or x.length % code.length != 0:
-        raise ValueError("input length must be a positive multiple of the code length")
-    p = concat_all([code.syndrome(blk) for blk in _blocks(x, code.length)])
+    p_len = x.length // code.length * code.syndrome_len
+    p = BitString(p_len, _block_syndromes(x, code))
     y = strong_extract(x, seed, out_len)
     return FuzzyOutput(y=y, p=p)
 
@@ -154,16 +157,14 @@ def fuzzy_rec(
     x_prime: BitString, seed: BitString, p: BitString, out_len: int, code: LinearCode
 ) -> BitString | None:
     """Recover the payload from a noisy word; None when a block is undecodable."""
-    if x_prime.length == 0 or x_prime.length % code.length != 0:
-        raise ValueError("input length must be a positive multiple of the code length")
-    n_blocks = x_prime.length // code.length
-    if p.length != n_blocks * code.syndrome_len:
+    diff = _block_syndromes(x_prime, code) ^ p.to_int()
+    n_blocks, r = x_prime.length // code.length, code.syndrome_len
+    if p.length != n_blocks * r:
         raise ValueError("helper string length mismatch")
-    corrected = []
-    for b, blk in enumerate(_blocks(x_prime, code.length)):
-        target = p.slice_bits(b * code.syndrome_len, code.syndrome_len)
-        err = code.decode_syndrome(code.syndrome(blk) ^ target)
-        if err is None:
+    err = 0
+    for b in range(n_blocks):
+        e = code.decode_syndrome(BitString(r, (diff >> b * r) & ((1 << r) - 1)))
+        if e is None:
             return None
-        corrected.append(blk ^ err)
-    return strong_extract(concat_all(corrected), seed, out_len)
+        err |= e.to_int() << b * code.length
+    return strong_extract(x_prime ^ BitString(x_prime.length, err), seed, out_len)

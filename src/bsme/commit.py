@@ -19,9 +19,9 @@ import random
 from dataclasses import dataclass
 
 from .bits import BitString, IndexSet
-from .hashing import ToeplitzHash, random_seed, strong_extract
+from .hashing import ToeplitzHash, random_seed, seed_length, strong_extract
 from .infomath import CommitParams, floor_tol
-from .reasons import Reason, _Phased
+from .reasons import Reason, SetupAbort, _Phased
 from .source import SourcePair, sample_positions
 
 __all__ = [
@@ -71,11 +71,13 @@ class Committer(_Phased):
         self.a = sample_positions(p.n, p.k, self._rng)
         self._x_a = pair.x.restrict(self.a)
 
-    def make_commitment(self, g: ToeplitzHash) -> CommitMessage:
+    def make_commitment(self, diag: BitString) -> CommitMessage:
+        """Commit under the verifier's hash g, given by its Toeplitz diagonal."""
         p = self.params
         self._advance("transmitted", "committed")
-        if g.in_len != p.k or g.out_len != p.digest_len:
-            raise ValueError("hash dimensions do not match parameters")
+        if diag.length != seed_length(p.k, p.digest_len):
+            raise SetupAbort(Reason.MALFORMED_MESSAGE)
+        g = ToeplitzHash(p.k, p.digest_len, diag)
         u = random_seed(p.k, p.m, self._rng)
         masked = self.value ^ strong_extract(self._x_a, u, p.m)
         return CommitMessage(masked=masked, digest=g(self._x_a), a=self.a, u=u)
@@ -103,11 +105,12 @@ class Verifier(_Phased):
         self.b = sample_positions(p.n, p.k, self._rng)
         self._xt_b = pair.x_tilde.restrict(self.b)
 
-    def choose_hash(self) -> ToeplitzHash:
+    def choose_hash(self) -> BitString:
+        """Draw the binding hash g; its Toeplitz diagonal is what is sent."""
         p = self.params
         self._advance("transmitted", "hashed")
         self.hash = ToeplitzHash.random(p.k, p.digest_len, self._rng)
-        return self.hash
+        return self.hash.diag
 
     def receive_commitment(self, msg: CommitMessage) -> None:
         p = self.params
@@ -117,7 +120,7 @@ class Verifier(_Phased):
             and msg.digest.length == p.digest_len
             and msg.a.ground == p.n
             and len(msg.a) == p.k
-            and msg.u.length == p.k + p.m - 1
+            and msg.u.length == seed_length(p.k, p.m)
         )
         self._malformed = not ok
         self._commitment = msg

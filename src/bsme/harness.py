@@ -22,6 +22,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bits import BitString, IndexSet
 from .codes import LinearCode
@@ -478,12 +479,22 @@ def lemma_binom_bound(k_max: int = 24) -> tuple[bool, float]:
     return ok, worst
 
 
-def lemma_entropy_hd(n: int, alpha: float, delta: float, seed: int = 0) -> tuple[float, float]:
+class EntropyHDReport(NamedTuple):
+    h_min: float
+    lower: float
+
+    @property
+    def passed(self) -> bool:
+        return self.h_min >= self.lower
+
+
+def lemma_entropy_hd(n: int, alpha: float, delta: float, seed: int = 0) -> EntropyHDReport:
     """Exhaustive worst-coupling min-entropy after delta*n adversarial flips.
 
     Builds the exact entropy-construction distribution on an n-bit source,
     lets the coupling move every word anywhere within distance floor(delta*n),
-    and returns (worst achievable Hmin(Y), lower bound (alpha - h(delta))*n).
+    and returns (worst achievable Hmin(Y), lower bound (alpha - h(delta))*n),
+    whose ``passed`` compares the two without slack.
     The worst coupling concentrates each mass ball onto its most popular
     center, so Hmin(Y) >= Hmin(X) - log2(ball size) >= (alpha - h(delta))*n.
     """
@@ -504,4 +515,4 @@ def lemma_entropy_hd(n: int, alpha: float, delta: float, seed: int = 0) -> tuple
         best_center_mass = max(best_center_mass, total)
     h_min = -math.log2(best_center_mass)
     lower = (alpha - binary_entropy(delta)) * n
-    return h_min, lower
+    return EntropyHDReport(h_min, lower)

@@ -46,8 +46,14 @@ __all__ = [
     "OTParams",
     "derive_commit_params",
     "derive_ot_params",
+    "check_code_fit",
     "floor_tol",
 ]
+
+# psi_ext: the share of the k_E extractable bits the commitment leaves unused.
+PSI_EXT = 0.1
+# eps_prime: the smoothing error charged to rho, log2(1/eps_prime) bits.
+EPS_PRIME = 2.0**-32
 
 
 class ParameterError(ValueError):
@@ -266,6 +272,24 @@ class CommitParams:
     digest_len: int
 
 
+def _sample_and_rate(n: int, ell: int, alpha: float, gamma: float) -> tuple[int, float]:
+    """The per-party sample size k and the residual rate rho, after the
+    checks the commitment and the transfer share."""
+    if not (n >= 1 and ell >= 1):
+        raise ParameterError("n >= 1 and ell >= 1")
+    k = subset_size_for(n, ell)
+    if not ell <= k:
+        raise ParameterError("ell <= k", f"ell={ell}, k={k}")
+    if not k <= n:
+        raise ParameterError("k <= n", f"k={k}, n={n}")
+    if not 0.0 <= gamma < alpha <= 1.0:
+        raise ParameterError("0 <= gamma < alpha <= 1")
+    r = rho(alpha, gamma, EPS_PRIME, n)
+    if not r > 0.0:
+        raise ParameterError("rho > 0", f"rho={r:.6f}")
+    return k, r
+
+
 def derive_commit_params(
     n: int,
     ell: int,
@@ -275,32 +299,17 @@ def derive_commit_params(
     zeta: float = 0.05,
     tau: float | None = None,
     omega: float | None = None,
-    psi_ext: float = 0.1,
-    eps_prime: float = 2.0**-32,
 ) -> CommitParams:
-    if n < 1 or ell < 1:
-        raise ParameterError("n >= 1 and ell >= 1")
-    k = subset_size_for(n, ell)
-    if ell > k:
-        raise ParameterError("ell <= k", f"ell={ell}, k={k}")
-    if k > n:
-        raise ParameterError("k <= n", f"k={k}, n={n}")
-    if not 0.0 < eps_prime < 1.0:
-        raise ParameterError("0 < eps_prime < 1")
-    if not 0.0 <= gamma < alpha <= 1.0:
-        raise ParameterError("0 <= gamma < alpha <= 1")
-    r = rho(alpha, gamma, eps_prime, n)
-    if r <= 0.0:
-        raise ParameterError("rho > 0", f"rho={r:.6f}")
-    if delta < 0.0 or zeta <= 0.0 or delta + zeta >= 0.5:
+    k, r = _sample_and_rate(n, ell, alpha, gamma)
+    if not (0.0 <= delta and 0.0 < zeta and delta + zeta < 0.5):
         raise ParameterError("0 <= delta, 0 < zeta, delta + zeta < 1/2")
     noise_term = 2.0 * binary_entropy(delta + zeta)
     if tau is None or omega is None:
-        gap = r - noise_term
-        if gap <= 0.0:
+        if not noise_term < r:
             raise ParameterError(
                 "2*h(delta+zeta) < rho", f"2h={noise_term:.6f}, rho={r:.6f}"
             )
+        gap = r - noise_term
         if tau is None:
             tau = gap / 32.0
         if omega is None:
@@ -315,20 +324,18 @@ def derive_commit_params(
         raise ParameterError(
             "2*h(delta+zeta) < omega", f"2h={noise_term:.6f}, omega={omega}"
         )
-    if not 0.0 < psi_ext < 1.0:
-        raise ParameterError("0 < psi_ext < 1")
     k_e = floor_tol((r - 3.0 * tau - omega) * k)
-    if k_e < 1:
+    if not k_e >= 1:
         raise ParameterError("k_E >= 1", f"k_E={k_e}")
-    m = floor_tol((1.0 - psi_ext) * k_e)
-    if m < 1:
+    m = floor_tol((1.0 - PSI_EXT) * k_e)
+    if not m >= 1:
         raise ParameterError("m >= 1", f"m={m}")
     digest_len = floor_tol(omega * k)
-    if digest_len < 1:
+    if not digest_len >= 1:
         raise ParameterError("floor(omega*k) >= 1")
     return CommitParams(
         n=n, ell=ell, alpha=alpha, gamma=gamma, delta=delta, zeta=zeta,
-        tau=tau, omega=omega, psi_ext=psi_ext, eps_prime=eps_prime,
+        tau=tau, omega=omega, psi_ext=PSI_EXT, eps_prime=EPS_PRIME,
         k=k, rho=r, k_e=k_e, m=m, digest_len=digest_len,
     )
 
@@ -367,6 +374,20 @@ class OTParams:
     payload_len: int
 
 
+def check_code_fit(ell: int, code, delta: float, xi: float) -> None:
+    """Refuse a block code that does not tile ell or whose radius does not
+    cover the noise delta plus the slack xi in every block."""
+    if not ell % code.length == 0:
+        raise ParameterError(
+            "code length divides ell", f"ell={ell}, code length={code.length}"
+        )
+    if not (delta + xi) * code.length <= code.radius + 1e-9:
+        raise ParameterError(
+            "delta + xi <= radius / code length",
+            f"delta+xi={delta + xi:.6f}, radius fraction={code.radius / code.length:.6f}",
+        )
+
+
 def derive_ot_params(
     n: int,
     ell: int,
@@ -378,65 +399,45 @@ def derive_ot_params(
     zeta_ih: float = 0.5,
     tau: float | None = None,
     m_f: float | None = None,
-    eps_prime: float = 2.0**-32,
     eps_hat: float = 0.25,
 ) -> OTParams:
-    if n < 1 or ell < 1:
-        raise ParameterError("n >= 1 and ell >= 1")
-    k = subset_size_for(n, ell)
-    if ell > k:
-        raise ParameterError("ell <= k", f"ell={ell}, k={k}")
-    if k > n:
-        raise ParameterError("k <= n", f"k={k}, n={n}")
-    if ell % code.length != 0:
-        raise ParameterError(
-            "code length divides ell", f"ell={ell}, code length={code.length}"
-        )
-    rate = Fraction(code.dimension, code.length)
-    if delta < 0.0 or xi < 0.0:
+    k, r = _sample_and_rate(n, ell, alpha, gamma)
+    if not (delta >= 0.0 and xi >= 0.0):
         raise ParameterError("delta >= 0 and xi >= 0")
-    if (delta + xi) * code.length > code.radius + 1e-9:
-        raise ParameterError(
-            "delta + xi <= radius / code length",
-            f"delta+xi={delta + xi:.6f}, radius fraction={code.radius / code.length:.6f}",
-        )
-    if not 0.0 < eps_prime < 1.0 or not 0.0 < eps_hat < 1.0:
+    check_code_fit(ell, code, delta, xi)
+    rate = Fraction(code.dimension, code.length)
+    if not 0.0 < eps_hat < 1.0:
         raise ParameterError("0 < eps_prime, eps_hat < 1")
-    if not 0.0 <= gamma < alpha <= 1.0:
-        raise ParameterError("0 <= gamma < alpha <= 1")
-    r = rho(alpha, gamma, eps_prime, n)
-    if r <= 0.0:
-        raise ParameterError("rho > 0", f"rho={r:.6f}")
     if tau is None:
         tau = min(0.02, r / 6.0)
-    if not 0.0 < tau <= r / 3.0 or tau >= 1.0:
+    if not (0.0 < tau <= r / 3.0 and tau < 1.0):
         raise ParameterError("0 < tau <= rho/3 and tau < 1")
     if not 0.0 < zeta_ih < 1.0:
         raise ParameterError("0 < zeta_ih < 1")
     hat_term = (1.0 + math.log2(1.0 / eps_hat)) / ell
     if m_f is None:
         budget = r + float(rate) - 1.0 - 3.0 * tau - hat_term
-        if budget <= 0.0:
+        if not budget > 0.0:
             raise ParameterError("k_F > 0", f"entropy budget={budget:.6f}")
         m_f = 0.475 * budget
     if not 0.0 < m_f < 1.0:
         raise ParameterError("0 < m_F < 1")
     payload_len = floor_tol(m_f * ell)
-    if payload_len < 1:
+    if not payload_len >= 1:
         raise ParameterError("floor(m_F*ell) >= 1", f"m_F*ell={m_f * ell:.6f}")
     k_f = r + float(rate) - 3.0 * tau - 2.0 * m_f - 1.0 - hat_term
-    if k_f <= 0.0:
+    if not k_f > 0.0:
         raise ParameterError("k_F > 0", f"k_F={k_f:.6f}")
     m = 2 * ell * math.ceil(math.log2(k))
     nu = tau / math.log2(1.0 / tau)
     eps_dprime = math.exp(-ell * nu * nu / 2.0)
-    tail = math.log2(1.0 / (eps_prime + eps_dprime)) if eps_prime + eps_dprime < 1.0 else 0.0
+    tail = math.log2(1.0 / (EPS_PRIME + eps_dprime)) if EPS_PRIME + eps_dprime < 1.0 else 0.0
     t = m - math.ceil(zeta_ih * max(0.0, tail))
     t = max(0, min(m, t))
     p_len = (ell // code.length) * (code.length - code.dimension)
     return OTParams(
         n=n, ell=ell, alpha=alpha, gamma=gamma, delta=delta, xi=xi,
-        zeta_ih=zeta_ih, tau=tau, m_f=m_f, eps_prime=eps_prime, eps_hat=eps_hat,
+        zeta_ih=zeta_ih, tau=tau, m_f=m_f, eps_prime=EPS_PRIME, eps_hat=eps_hat,
         code=code, k=k, rho=r, rate=rate, m=m, t=t, k_f=k_f,
         eps_dprime=eps_dprime, p_len=p_len, payload_len=payload_len,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .bits import BitString, IndexSet
 from .codes import fuzzy_ext, fuzzy_rec
-from .hashing import random_seed
+from .hashing import random_seed, seed_length
 from .infomath import OTParams
 from .ihash import Querier, Respondent
 from .reasons import Reason, SetupAbort, _Phased
@@ -159,7 +159,7 @@ class OTReceiver(_Phased):
         self._advance("setup-done", "transferred")
         branch = (payload.z0, payload.r0, payload.p0), (payload.z1, payload.r1, payload.p1)
         # Both branches, so that whether the peer is refused does not depend on d.
-        lengths = (p.payload_len, p.ell + p.payload_len - 1, p.p_len)
+        lengths = (p.payload_len, seed_length(p.ell, p.payload_len), p.p_len)
         if any(f.length != n for fields in branch for f, n in zip(fields, lengths)):
             raise SetupAbort(Reason.MALFORMED_MESSAGE)
         z, seed, helper = branch[self._d]

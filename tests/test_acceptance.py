@@ -333,18 +333,19 @@ def test_c10_lemma_oracles():
     subset = lemma_subset_hd(n=4096, r=256, delta=0.15, nu=0.1,
                              trials=4000, seed=0)
     binom_ok, binom_worst = lemma_binom_bound(24)
-    h8, lower8 = lemma_entropy_hd(8, 0.75, 0.125)
-    h10, lower10 = lemma_entropy_hd(10, 0.8, 0.1)
+    entropy8 = lemma_entropy_hd(8, 0.75, 0.125)
+    entropy10 = lemma_entropy_hd(10, 0.8, 0.1)
     elapsed = time.perf_counter() - t0
     ok = (birthday.passed and subset.passed and binom_ok
-          and h8 >= lower8 and h10 >= lower10 and elapsed < 180.0)
+          and entropy8.passed and entropy10.passed and elapsed < 180.0)
     record(10, "lemma oracles", ok,
            f"birthday rate={birthday.rate:.4g} <= {birthday.bound:.4g} "
            f"(10^4 trials); subset-HD upper={subset.upper_violations} "
            f"lower={subset.lower_violations} of 4000 vs bound "
            f"{subset.bound:.3g}; binom worst_ratio={binom_worst:.4f} <= 1 "
-           f"(k<=24); entropy-HD n=8: {h8:.4f} >= {lower8:.4f}, n=10: "
-           f"{h10:.4f} >= {lower10:.4f} time={elapsed:.1f}s (< 180s)")
+           f"(k<=24); entropy-HD n=8: {entropy8.h_min:.4f} >= {entropy8.lower:.4f}, "
+           f"n=10: {entropy10.h_min:.4f} >= {entropy10.lower:.4f} "
+           f"time={elapsed:.1f}s (< 180s)")
     assert ok
 
 

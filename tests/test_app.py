@@ -225,6 +225,16 @@ class TestFrameCodec:
         with pytest.raises(FrameError):
             decode_frame(header + huge)
 
+    def test_oversize_field_not_encoded(self):
+        # the encoder holds fields to the limit the decoder enforces
+        huge = BitString(framing.MAX_FIELD_BITS + 1, 0)
+        with pytest.raises(FrameError, match="field too large"):
+            encode_frame(framing.TAGS[IHQuery], [huge])
+        with pytest.raises(FrameError, match="field too large"):
+            encode_message(IHQuery(huge))
+        largest = BitString(framing.MAX_FIELD_BITS, 0)
+        assert decode_message(encode_message(IHQuery(largest))) == IHQuery(largest)
+
 
 def _claim_16_fields(msg):
     data = bytearray(encode_message(msg))
@@ -733,6 +743,13 @@ class TestCLI:
         # a flag still overrides the file's value
         assert cli.main(["ot", "--config", str(cfg), "--code", "hamming", "--n", "1024",
                          "--ell", "14"]) == cli.EXIT_OK
+
+    def test_nan_rate_exits_usage(self, capsys):
+        # NaN fails every comparison, so each check must be written to fail it
+        assert cli.main(["ot", "--code", "hamming", "--xi", "nan", "--json"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "delta >= 0 and xi >= 0" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["lemmas", "--trials", "0"],

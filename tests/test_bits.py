@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bsme.bits import BitString, IndexSet, concat_all
+from bsme.bits import BitString, IndexSet
 
 
 def bitstrings(max_len=16):
@@ -106,25 +106,6 @@ class TestBitStringOps:
         assert x.flip(1).flip(1) == x
         with pytest.raises(IndexError):
             x.flip(4)
-
-    def test_slice_and_concat(self):
-        x = BitString.from_str("101100")
-        assert x.slice_bits(1, 3).to_str() == "011"
-        assert x.slice_bits(0, 6) == x
-        with pytest.raises(ValueError):
-            x.slice_bits(4, 3)
-
-    @given(bitstrings(8), bitstrings(8))
-    def test_concat_slices_back(self, a, b):
-        joint = a.concat(b)
-        assert joint.length == a.length + b.length
-        assert joint.slice_bits(0, a.length) == a
-        assert joint.slice_bits(a.length, b.length) == b
-
-    def test_concat_all(self):
-        parts = [BitString.from_str("10"), BitString.from_str("01"), BitString.from_str("1")]
-        assert concat_all(parts).to_str() == "10011"
-        assert concat_all([]).length == 0
 
     def test_restrict_keeps_order(self):
         x = BitString.from_str("10110")

@@ -6,7 +6,7 @@ import pytest
 from bsme import gf2
 from bsme.bits import BitString
 from bsme.codes import LinearCode, fuzzy_ext, fuzzy_rec
-from bsme.hashing import seed_length
+from bsme.hashing import seed_length, strong_extract
 
 
 def all_codewords(code: LinearCode):
@@ -188,6 +188,35 @@ class TestFuzzyExtractor:
             if got != out.y:
                 wrong += 1
         assert wrong > 0
+
+    @pytest.mark.parametrize("make", [
+        LinearCode.hamming_7_4,
+        lambda: LinearCode.repetition(3),
+        lambda: LinearCode.repetition(5),
+        LinearCode.trivial,
+    ], ids=["hamming", "repetition3", "repetition5", "trivial"])
+    def test_blockwise_reference(self, make):
+        # the helper is each block's own syndrome, block 0 lowest, and any
+        # error inside the radius in every block is corrected
+        code = make()
+        rng = random.Random(code.length)
+        patterns = list(gf2.low_weight(code.length, code.radius))
+        mask = (1 << code.length) - 1
+        for blocks in range(1, 9):
+            length = blocks * code.length
+            x = BitString.random(length, rng)
+            seed = BitString.random(seed_length(length, 3), rng)
+            out = fuzzy_ext(x, seed, 3, code)
+            joined = 0
+            for b in range(blocks):
+                syn = code.syndrome(BitString(code.length, (x.to_int() >> b * code.length) & mask))
+                joined |= syn.to_int() << b * code.syndrome_len
+            assert out.p == BitString(blocks * code.syndrome_len, joined)
+            assert out.y == strong_extract(x, seed, 3)
+            for _ in range(20):
+                err = sum(rng.choice(patterns) << b * code.length for b in range(blocks))
+                noisy = x ^ BitString(length, err)
+                assert fuzzy_rec(noisy, seed, out.p, 3, code) == out.y
 
     def test_validation(self):
         code = LinearCode.hamming_7_4()

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from bsme.bits import BitString, IndexSet
 from bsme.commit import CommitMessage, Committer, OpenMessage, Verifier
 from bsme.infomath import derive_commit_params, floor_tol
-from bsme.reasons import Reason
+from bsme.hashing import seed_length
+from bsme.reasons import Reason, SetupAbort
 from bsme.source import SourceConfig, generate
 
 
@@ -196,15 +197,15 @@ class TestStateMachine:
     def test_hash_dimensions_checked(self):
         rng = random.Random(0)
         pair = generate(SourceConfig(n=PARAMS.n, seed=0))
-        com = Committer(PARAMS, BitString.zeros(PARAMS.m), rng)
-        com.transmit(pair)
-        from bsme.hashing import ToeplitzHash
-        bad = ToeplitzHash.random(PARAMS.k, PARAMS.digest_len + 1, rng)
-        with pytest.raises(ValueError):
-            com.make_commitment(bad)
+        for extra in (-1, 1):
+            com = Committer(PARAMS, BitString.zeros(PARAMS.m), rng)
+            com.transmit(pair)
+            bad = BitString.random(seed_length(PARAMS.k, PARAMS.digest_len) + extra, rng)
+            with pytest.raises(SetupAbort) as info:
+                com.make_commitment(bad)
+            assert info.value.reason is Reason.MALFORMED_MESSAGE
 
     def test_verify_requires_hash(self):
-        from bsme.hashing import ToeplitzHash
         rng = random.Random(0)
         pair = generate(SourceConfig(n=PARAMS.n, seed=0))
         com = Committer(PARAMS, BitString.zeros(PARAMS.m), rng)
@@ -212,7 +213,7 @@ class TestStateMachine:
         com.transmit(pair)
         ver.transmit(pair)
         # the verifier never ran choose_hash, so it takes no commitment
-        g = ToeplitzHash.random(PARAMS.k, PARAMS.digest_len, rng)
-        msg = com.make_commitment(g)
+        diag = BitString.random(seed_length(PARAMS.k, PARAMS.digest_len), rng)
+        msg = com.make_commitment(diag)
         with pytest.raises(RuntimeError):
             ver.receive_commitment(msg)

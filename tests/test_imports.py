@@ -4,9 +4,11 @@ Every name a `bsme` module imports is used in it, and every `_`-prefixed
 function, class, method or module-level name is referenced somewhere in the
 package besides its own definition.  Every public module-level function and
 class has a caller in the system: the package, the benchmark, the console
-script, or the acceptance criteria.  There is no linter in the toolchain, so
-this walks each module's syntax tree.  Package `__init__` files are skipped by
-the import check, since importing to re-export is their job.
+script, or the acceptance criteria.  No module under `bsme/app/` imports the
+protocol math (`hashing`, `gf2`, `ihash`, `subsets`).  There is no linter in
+the toolchain, so this walks each module's syntax tree.  Package `__init__`
+files are skipped by the import check, since importing to re-export is their
+job.
 """
 
 import ast
@@ -52,6 +54,40 @@ def test_checker_sees_dead_and_live_imports():
     used = used_names(tree)
     dead = {n for n in imported_names(tree) if n not in used}
     assert dead == {"os", "Any"}
+
+
+# Protocol math stays behind the protocol modules; `app` only drives them.
+PROTOCOL_MATH = {"hashing", "gf2", "ihash", "subsets"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Last component of every module an `import` or `from ... import` names,
+    and the names a bare `from . import` brings in."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                found.add(node.module.rsplit(".", 1)[-1])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "app").glob("*.py")), ids=lambda p: p.name)
+def test_app_imports_no_protocol_math(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    math_used = imported_modules(tree) & PROTOCOL_MATH
+    assert not math_used, f"app/{path.name} imports protocol math: {sorted(math_used)}"
+
+
+def test_checker_sees_protocol_math_imports():
+    tree = ast.parse(
+        "from ..hashing import ToeplitzHash\nfrom .. import gf2\n"
+        "import bsme.ihash\nfrom ..commit import Committer\nfrom .framing import SetA\n"
+    )
+    assert imported_modules(tree) & PROTOCOL_MATH == {"hashing", "gf2", "ihash"}
 
 
 def private_definitions(tree: ast.Module) -> dict[str, int]:

@@ -237,6 +237,11 @@ class TestDeriveCommit:
             derive_commit_params(n=256, ell=4, alpha=0.3, gamma=0.2)
         assert info.value.requirement == "rho > 0"
 
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "delta", "zeta", "tau", "omega"])
+    def test_nan_refused(self, name):
+        with pytest.raises(ParameterError):
+            derive_commit_params(n=4096, ell=16, **{name: math.nan})
+
 
 class TestDeriveOT:
     def test_reference_chain(self):
@@ -309,3 +314,10 @@ class TestDeriveOT:
         with pytest.raises(ParameterError):
             derive_ot_params(n=4096, ell=14, code=LinearCode.trivial(1),
                              delta=0.0, xi=0.01)
+
+    @pytest.mark.parametrize(
+        "name", ["alpha", "gamma", "delta", "xi", "zeta_ih", "tau", "m_f", "eps_hat"])
+    def test_nan_refused(self, name):
+        with pytest.raises(ParameterError):
+            derive_ot_params(n=4096, ell=14, code=LinearCode.hamming_7_4(),
+                             **{name: math.nan})
