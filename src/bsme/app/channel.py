@@ -31,7 +31,7 @@ class ChannelClosed(ConnectionError):
 
 
 class _Recorder:
-    def __init__(self, label: str, transcript: list | None, lock: threading.Lock):
+    def __init__(self, label: str | None, transcript: list | None, lock: threading.Lock):
         self.label = label
         self._transcript = transcript
         self._lock = lock
@@ -91,7 +91,7 @@ class StreamChannel(_Recorder):
     def __init__(
         self,
         sock: socket.socket,
-        label: str,
+        label: str | None = None,
         transcript: list | None = None,
         lock: threading.Lock | None = None,
     ):
@@ -141,16 +141,16 @@ def socketpair_channels(
     return a, b
 
 
-def listen_channel(host: str, port: int, label: str) -> StreamChannel:
+def listen_channel(host: str, port: int) -> StreamChannel:
     """Accept exactly one peer connection."""
     srv = socket.create_server((host, port))
     try:
         conn, _addr = srv.accept()
     finally:
         srv.close()
-    return StreamChannel(conn, label)
+    return StreamChannel(conn)
 
 
-def connect_channel(host: str, port: int, label: str) -> StreamChannel:
+def connect_channel(host: str, port: int) -> StreamChannel:
     sock = socket.create_connection((host, port), timeout=RECV_TIMEOUT)
-    return StreamChannel(sock, label)
+    return StreamChannel(sock)

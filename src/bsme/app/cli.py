@@ -49,6 +49,7 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 
 _BOOL_KEYS = {"json"}
+# In the order `--code auto` tries them.
 _CODES = {
     "hamming": LinearCode.hamming_7_4,
     "repetition3": lambda: LinearCode.repetition(3),
@@ -123,15 +124,8 @@ def _addr(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="session seed")
-    sub.add_argument("--json", action="store_true", help="emit one JSON object")
-    sub.add_argument("--config", help="key=value defaults file; flags win")
-
-
-def _add_rates(sub: argparse.ArgumentParser, gamma_default: float, ell_default: int) -> None:
+def _add_rates(sub: argparse.ArgumentParser, gamma_default: float) -> None:
     sub.add_argument("--n", type=int, default=4096, help="broadcast length in bits")
-    sub.add_argument("--ell", type=int, default=ell_default, help="overlap requirement")
     sub.add_argument("--alpha", type=float, default=1.0, help="source entropy rate")
     sub.add_argument("--gamma", type=float, default=gamma_default, help="adversary storage rate")
     sub.add_argument("--delta", type=float, default=0.0, help="noise rate between views")
@@ -159,26 +153,24 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                                  parser_class=_SubcommandParser)
 
     p = subs.add_parser("feasibility", help="report achievable regimes for given rates")
-    _add_rates(p, gamma_default=0.25, ell_default=16)
+    _add_rates(p, gamma_default=0.25)
     p.add_argument("--eps-prime", type=float, default=EPS_PRIME)
-    _add_common(p)
-    _apply_config(p, config)
     p.set_defaults(func=cmd_feasibility)
 
     p = subs.add_parser("commit", help="run a commitment session")
-    _add_rates(p, gamma_default=0.25, ell_default=16)
+    _add_rates(p, gamma_default=0.25)
+    p.add_argument("--ell", type=int, default=16, help="overlap requirement")
     p.add_argument("--zeta", type=float, default=0.05, help="distance-check slack rate")
     p.add_argument("--tau", type=float, default=None, help="sampling slack rate")
     p.add_argument("--omega", type=float, default=None, help="digest rate")
     p.add_argument("--value", type=_bits_arg, default=None, help="value to commit, e.g. 0101")
     _add_transport(p, ("committer", "verifier"))
-    _add_common(p)
-    _apply_config(p, config)
     p.set_defaults(func=cmd_commit)
 
     p = subs.add_parser("ot", help="run an oblivious transfer session")
+    _add_rates(p, gamma_default=0.0)
     # 14 is the C05 point: Hamming(7,4) blocks fit it at the default noise.
-    _add_rates(p, gamma_default=0.0, ell_default=14)
+    p.add_argument("--ell", type=int, default=14, help="overlap requirement")
     p.add_argument("--xi", type=float, default=0.05, help="decoding slack rate")
     p.add_argument("--zeta-ih", type=float, default=0.5, help="hash truncation rate")
     p.add_argument("--tau", type=float, default=None, help="sampling slack rate")
@@ -189,28 +181,27 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--s0", type=_bits_arg, default=None, help="first secret")
     p.add_argument("--s1", type=_bits_arg, default=None, help="second secret")
     _add_transport(p, ("sender", "receiver"))
-    _add_common(p)
-    _apply_config(p, config)
     p.set_defaults(func=cmd_ot)
 
     p = subs.add_parser("attack", help="run desk-scale attacks against their bounds")
     p.add_argument("--which", choices=("binding", "hiding", "offbranch", "theta", "all"),
                    default="all")
     p.add_argument("--trials", type=_positive_int, default=300)
-    _add_common(p)
-    _apply_config(p, config)
     p.set_defaults(func=cmd_attack)
 
     p = subs.add_parser("lemmas", help="check the concentration bounds the analysis rests on")
     p.add_argument("--trials", type=_positive_int, default=400)
-    _add_common(p)
-    _apply_config(p, config)
     p.set_defaults(func=cmd_lemmas)
 
     p = subs.add_parser("selftest", help="fast end-to-end smoke check")
-    _add_common(p)
-    _apply_config(p, config)
     p.set_defaults(func=cmd_selftest)
+
+    for name, p in subs.choices.items():
+        if name != "feasibility":  # the one command that draws no randomness
+            p.add_argument("--seed", type=int, default=0, help="session seed")
+        p.add_argument("--json", action="store_true", help="emit one JSON object")
+        p.add_argument("--config", help="key=value defaults file; flags win")
+        _apply_config(p, config)
 
     # A key that some other subcommand defines is fine (one file can serve
     # several); a key that none defines is a typo.
@@ -237,25 +228,26 @@ def cmd_feasibility(args) -> int:
     s = rho(args.alpha, args.gamma, args.eps_prime, args.n)
     commit_f = commit_feasible(s, args.delta)
     ot_f = ot_feasible_gv(s, args.delta)
+    commit_thr, ot_thr = commit_delta_threshold(s), ot_gv_delta_threshold(s)
     payload = {
         "rho": s,
         "commit": {
             "feasible": commit_f.feasible,
             "margin": commit_f.margin,
-            "delta_threshold": commit_delta_threshold(s),
+            "delta_threshold": commit_thr,
         },
         "ot_gv": {
             "feasible": ot_f.feasible,
             "margin": ot_f.margin,
-            "delta_threshold": ot_gv_delta_threshold(s),
+            "delta_threshold": ot_thr,
         },
     }
     lines = [
         f"rho={s:.6f}",
         f"commit: feasible={commit_f.feasible} margin={commit_f.margin:.6f} "
-        f"delta_threshold={commit_delta_threshold(s):.6f}",
+        f"delta_threshold={commit_thr:.6f}",
         f"ot-gv: feasible={ot_f.feasible} margin={ot_f.margin:.6f} "
-        f"delta_threshold={ot_gv_delta_threshold(s):.6f}",
+        f"delta_threshold={ot_thr:.6f}",
     ]
     _emit(args, payload, lines)
     return EXIT_OK if commit_f.feasible else EXIT_BOUND
@@ -303,8 +295,8 @@ def _pick_code(args) -> LinearCode:
     none does, the last one's refusal."""
     if args.code != "auto":
         return _CODES[args.code]()
-    for name in ("hamming", "repetition3", "repetition5", "trivial"):
-        code = _CODES[name]()
+    for make in _CODES.values():
+        code = make()
         try:
             check_code_fit(args.ell, code, args.delta, args.xi)
             return code
@@ -356,8 +348,7 @@ def _network_party(args, protocol: str, params, secrets=None) -> int:
     if args.listen and args.connect:
         raise ValueError("pass --listen or --connect, not both")
     host, port = args.listen or args.connect
-    label = "A" if args.role in ("committer", "sender") else "B"
-    chan = (listen_channel if args.listen else connect_channel)(host, port, label)
+    chan = (listen_channel if args.listen else connect_channel)(host, port)
     try:
         if protocol == "commit":
             out = commit_party(args.role, chan, params, args.seed, value=args.value)
@@ -387,7 +378,6 @@ def cmd_attack(args) -> int:
                                       trials=args.trials, seed=args.seed))
     if which in ("hiding", "all"):
         reports.append(hiding_distance(
-            n=12, k=6,
             a_positions=IndexSet(12, (2, 3, 6, 7, 10, 11)),
             stored_positions=IndexSet(12, (0, 1, 2, 3)),
             stored_value=BitString.zeros(4),

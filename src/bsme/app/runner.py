@@ -76,6 +76,9 @@ class CommitOutcome:
 
 @dataclass(frozen=True)
 class OTOutcome:
+    """``completed`` needs the receiver's success: the sender only learns
+    that the payload was accepted in shape, not whether it decoded."""
+
     choice: int
     secrets: tuple[BitString, BitString]
     completed: bool
@@ -177,7 +180,7 @@ def _sender(chan, party: OTSender) -> dict:
     e = _expect(chan, EBit).e
     party.finish_setup()
     _send(chan, party.transfer(e))
-    result = _expect(chan, ResultMsg)
+    result = _expect(chan, ResultMsg)  # ok: the payload was accepted in shape
     return {"completed": result.ok, "reason": result.reason}
 
 
@@ -189,10 +192,12 @@ def _receiver(chan, party: OTReceiver) -> dict:
     payload = _expect(chan, TransferPayload)
     try:
         output = party.receive_payload(payload)
-        reason = Reason.OK if output is not None else Reason.DECODE_FAILURE
-    except SetupAbort as abort:
-        output, reason = None, abort.reason
-    _send(chan, _closing(output is not None, reason))
+    except SetupAbort as abort:  # a shape check over both branches, the same for either d
+        raise _Abort(abort.reason, _closing(False, abort.reason)) from None
+    # The same reply whatever the decode gives: a failure only on the
+    # receiver's own branch would tell the sender d, and so the choice.
+    _send(chan, _closing(True, Reason.OK))
+    reason = Reason.OK if output is not None else Reason.DECODE_FAILURE
     return {"completed": output is not None, "reason": reason, "output": output}
 
 

@@ -43,15 +43,16 @@ class LinearCode:
         for r in rows:
             if r < 0 or r & ~mask:
                 raise ValueError("parity row outside code length")
-        if gf2.row_rank(rows) != len(rows):
-            raise ValueError("parity-check rows must be linearly independent")
         self.length = length
         self.rows = rows
         self.dimension = length - len(rows)
 
         if rows:
-            # Gray-code walk over the kernel basis: one XOR per codeword.
+            # independent rows leave a kernel of dimension length - len(rows)
             basis = gf2.nullspace(rows, length)
+            if len(basis) != self.dimension:
+                raise ValueError("parity-check rows must be linearly independent")
+            # Gray-code walk over the kernel basis: one XOR per codeword.
             word, d_min = 0, length + 1
             for i in range(1, 1 << len(basis)):
                 word ^= basis[(i & -i).bit_length() - 1]

@@ -43,13 +43,6 @@ class Echelon:
         return len(self.rows)
 
 
-def row_rank(rows) -> int:
-    ech = Echelon()
-    for r in rows:
-        ech.add(r)
-    return ech.rank
-
-
 def nullspace(rows, n: int) -> list[int]:
     """Basis of ``{x : row . x = 0 for every row}`` inside GF(2)^n.
 

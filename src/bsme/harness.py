@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bits import BitString, IndexSet
-from .codes import LinearCode
+from .codes import LinearCode, fuzzy_ext
 from .gf2 import low_weight
 from .hashing import ToeplitzHash, seed_length, strong_extract
 from .infomath import (
     Distribution,
     binary_entropy,
+    ceil_tol,
     cond_min_entropy,
     floor_tol,
     statistical_distance,
@@ -174,34 +175,28 @@ def binding_attack(
 
 
 def hiding_distance(
-    n: int,
-    k: int,
     a_positions: IndexSet,
     stored_positions: IndexSet,
     stored_value: BitString,
     digest_len: int,
-    m: int = 1,
-    v0: BitString | None = None,
-    v1: BitString | None = None,
+    v0: BitString = BitString.zeros(1),
+    v1: BitString = BitString(1, 1),
 ) -> EnumerationReport:
     """Exact distance between the commit transcripts of two values.
 
+    The committer samples k = len(a_positions) of n = a_positions.ground
+    broadcast positions and commits to an m = v0.length bit value.
     Enumerates every committer sample consistent with the adversary's stored
     bits, every extractor seed, and every hash seed; the transcript is
     (masked value, digest, u, g).  Also returns the enumerated conditional
     min-entropy of the sample given (stored bits, hash, digest), against the
     leftover-hash bound 0.5 * 2**((m - Hmin) / 2).
     """
+    n, k, m = a_positions.ground, len(a_positions), v0.length
     if n > 12 or k > 8 or m > 2 or digest_len > 3:
         raise RegimeError("exact hiding enumeration is limited to n<=12, k<=8, m<=2, digest<=3")
-    if a_positions.ground != n or len(a_positions) != k:
-        raise ValueError("sample positions must pick k of n")
-    if v0 is None:
-        v0 = BitString.zeros(m)
-    if v1 is None:
-        v1 = BitString(m, 1)
-    if v0.length != m or v1.length != m:
-        raise ValueError("values must have m bits")
+    if v1.length != m:
+        raise ValueError("values must have the same length")
 
     # Conditioning: the coordinates of the k-bit sample that the adversary
     # stored are pinned to its (noise-free) stored bits.
@@ -270,7 +265,8 @@ def ot_offbranch_distance(
 ) -> EnumerationReport:
     """Exact distance of (pad, seed, helper) from (uniform, seed, helper).
 
-    The unchosen branch's bits are uniform when the receiver stored nothing
+    Pad and helper are ``fuzzy_ext``'s output on one code block.  The
+    unchosen branch's bits are uniform when the receiver stored nothing
     (stored_all=False); setting stored_all=True models a receiver that kept
     the entire noise-free view, a degenerate regime where the pad is
     deterministic and the distance must blow up (sanity inversion).
@@ -296,11 +292,10 @@ def ot_offbranch_distance(
         ideal: dict[int, float] = defaultdict(float)
         x_and_p: dict[tuple[int, int], float] = {}
         for x in group:
-            xs = BitString(ell, x)
-            p = code.syndrome(xs).to_int()
-            x_and_p[(x, p)] = w
             for seed in range(1 << s_len):
-                y = strong_extract(xs, BitString(s_len, seed), out_len).to_int()
+                out = fuzzy_ext(BitString(ell, x), BitString(s_len, seed), out_len, code)
+                p, y = out.p.to_int(), out.y.to_int()
+                x_and_p[(x, p)] = w
                 key = ((p << s_len) | seed) << out_len
                 joint[key | y] += sw
                 for y_any in range(1 << out_len):
@@ -501,7 +496,7 @@ def lemma_entropy_hd(n: int, alpha: float, delta: float, seed: int = 0) -> Entro
     if n > 10:
         raise RegimeError("exhaustive coupling analysis is limited to n <= 10")
     rng = random.Random(seed)
-    support_size = math.ceil(alpha * n)
+    support_size = ceil_tol(alpha * n)
     support = sorted(rng.sample(range(n), support_size))
     w = 1.0 / (1 << support_size)
     mass = {_deposit(fv, support): w for fv in range(1 << support_size)}

@@ -130,12 +130,10 @@ class Respondent:
     Its basis holds augmented rows like the querier's.
     """
 
-    def __init__(self, m: int, w: BitString):
-        if m < 2:
+    def __init__(self, w: BitString):
+        if w.length < 2:
             raise ValueError("m must be at least 2")
-        if w.length != m:
-            raise ValueError("input length mismatch")
-        self.m = m
+        self.m = w.length
         self._w = w.to_int()
         self._ech = gf2.Echelon()
 

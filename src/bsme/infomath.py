@@ -48,6 +48,7 @@ __all__ = [
     "derive_ot_params",
     "check_code_fit",
     "floor_tol",
+    "ceil_tol",
 ]
 
 # psi_ext: the share of the k_E extractable bits the commitment leaves unused.
@@ -70,6 +71,11 @@ class ParameterError(ValueError):
 def floor_tol(x: float) -> int:
     """Floor with a small tolerance for float representation of products."""
     return math.floor(x + 1e-9)
+
+
+def ceil_tol(x: float) -> int:
+    """Ceiling with `floor_tol`'s tolerance: ``0.07 * 100`` rounds up to 7."""
+    return math.ceil(x - 1e-9)
 
 
 def binary_entropy(x: float) -> float:
@@ -193,20 +199,18 @@ def ot_gv_delta_threshold(s: float) -> float:
     return inv_binary_entropy(s) / 2.0
 
 
-def zyablov_delta(rate: float, theta: float = 0.0) -> float:
+def zyablov_delta(rate: float) -> float:
     """Largest relative decoding radius of the concatenated-code tradeoff.
 
-    delta(R, theta) = max over R < r < 1 of (1 - r - theta) * h^-1(1 - R/r) / 2,
+    delta(R) = max over R < r < 1 of (1 - r) * h^-1(1 - R/r) / 2,
     evaluated on a 1e-3 grid and refined by golden-section search around the
     best grid point.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must lie in (0, 1)")
-    if theta < 0.0:
-        raise ValueError("theta must be non-negative")
 
     def value(r: float) -> float:
-        return (1.0 - r - theta) * inv_binary_entropy(1.0 - rate / r) / 2.0
+        return (1.0 - r) * inv_binary_entropy(1.0 - rate / r) / 2.0
 
     step = 1e-3
     best_r, best_v = None, 0.0
@@ -407,11 +411,11 @@ def derive_ot_params(
     check_code_fit(ell, code, delta, xi)
     rate = Fraction(code.dimension, code.length)
     if not 0.0 < eps_hat < 1.0:
-        raise ParameterError("0 < eps_prime, eps_hat < 1")
+        raise ParameterError("0 < eps_hat < 1")
     if tau is None:
         tau = min(0.02, r / 6.0)
-    if not (0.0 < tau <= r / 3.0 and tau < 1.0):
-        raise ParameterError("0 < tau <= rho/3 and tau < 1")
+    if not 0.0 < tau <= r / 3.0:
+        raise ParameterError("0 < tau <= rho/3", f"tau={tau}, rho/3={r / 3.0:.6f}")
     if not 0.0 < zeta_ih < 1.0:
         raise ParameterError("0 < zeta_ih < 1")
     hat_term = (1.0 + math.log2(1.0 / eps_hat)) / ell

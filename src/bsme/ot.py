@@ -140,7 +140,7 @@ class OTReceiver(_Phased):
             raise SetupAbort(Reason.SMALL_INTERSECTION)
         self.c_abs = IndexSet(p.n, sorted(self._rng.sample(overlap.indices, p.ell)))
         w = self._dense.encode(self.c_abs.positions_within(a), self._dense.random_copy(self._rng))
-        self.respondent = Respondent(p.m, w)
+        self.respondent = Respondent(w)
 
     def respond(self, query: BitString) -> int:
         return self.respondent.respond(query)

@@ -3,7 +3,8 @@
 ``generate`` draws the public string X together with the noisy view X~.
 X carries exactly ``ceil(alpha*n)`` uniformly placed uniform bits (the rest
 are zero), so its min-entropy is exactly that count.  X~ differs from X in
-exactly ``floor(delta*n)`` uniformly placed positions.
+exactly ``floor(delta*n)`` uniformly placed positions; both round with
+``infomath``'s 1e-9 tolerance, so float dust adds no position.
 
 Stream contract: a seed fixes every output, so ``generate`` consumes its
 generator in a fixed order, with work linear in n.  It draws the support
@@ -22,14 +23,13 @@ draws 32-bit words.
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 from dataclasses import dataclass
 from itertools import filterfalse
 
 from .bits import BitString, IndexSet, scatter_digits
-from .infomath import floor_tol
+from .infomath import ceil_tol, floor_tol
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def source_word(support: IndexSet, rng: random.Random) -> BitString:
 def generate(cfg: SourceConfig) -> SourcePair:
     rng = random.Random(cfg.seed)
     n = cfg.n
-    k = math.ceil(cfg.alpha * n)
+    k = ceil_tol(cfg.alpha * n)
     if k == n:
         x = BitString(n, rng.getrandbits(n))
     else:

@@ -128,19 +128,19 @@ def test_c04_hiding_exact():
     t0 = time.perf_counter()
     a = IndexSet(12, (2, 3, 6, 7, 10, 11))
     # adversary keeps a 4-bit prefix (gamma*n = 4)
-    stored = hiding_distance(n=12, k=6, a_positions=a,
+    stored = hiding_distance(a_positions=a,
                              stored_positions=IndexSet(12, (0, 1, 2, 3)),
                              stored_value=BitString.zeros(4),
-                             digest_len=2, m=1)
+                             digest_len=2)
     # gamma*n = 0: nothing stored
-    empty = hiding_distance(n=12, k=6, a_positions=a,
+    empty = hiding_distance(a_positions=a,
                             stored_positions=IndexSet(12, ()),
                             stored_value=BitString.zeros(0),
-                            digest_len=2, m=1)
-    same_v = hiding_distance(n=12, k=6, a_positions=a,
+                            digest_len=2)
+    same_v = hiding_distance(a_positions=a,
                              stored_positions=IndexSet(12, (0, 1, 2, 3)),
                              stored_value=BitString.zeros(4),
-                             digest_len=2, m=1,
+                             digest_len=2,
                              v0=BitString(1, 1), v1=BitString(1, 1))
     elapsed = time.perf_counter() - t0
     ok = (stored.passed and empty.passed and same_v.distance == 0.0
@@ -246,7 +246,7 @@ def test_c07_interactive_hashing_exact():
     partner_counts = {w: {} for w in range(16)}
     for queries in triples:
         for w in range(16):
-            resp = Respondent(m, BitString(m, w))
+            resp = Respondent(BitString(m, w))
             responses = [resp.respond(BitString(m, q)) for q in queries]
             out = resp.outcome()
             # brute-force the solution set of this transcript
@@ -365,7 +365,7 @@ def test_c11_feasibility_separation():
     zy_ok = True
     for j in range(1, 10):
         rate = j * 0.1
-        if zyablov_delta(rate, theta=0.0) > inv_binary_entropy(1.0 - rate) / 2.0 + 1e-6:
+        if zyablov_delta(rate) > inv_binary_entropy(1.0 - rate) / 2.0 + 1e-6:
             zy_ok = False
     ok = sep_ok and zy_ok
     record(11, "feasibility separation", ok,

@@ -501,7 +501,7 @@ class TestHostilePeer:
     ]
 
     @staticmethod
-    def _run(role, incoming, seed=HOSTILE_SEED, choice=None):
+    def _drive(role, incoming, seed=HOSTILE_SEED, choice=None, ot_params=OT_PARAMS):
         """Run `role` against a peer that sends `incoming` and then closes;
         return the party's result and the messages it sent."""
         transcript = []
@@ -513,7 +513,7 @@ class TestHostilePeer:
                 if role in ("committer", "verifier"):
                     result["out"] = runner.commit_party(role, mine, COMMIT_PARAMS, seed)
                 else:
-                    result["out"] = runner.ot_party(role, mine, OT_PARAMS, seed, choice)
+                    result["out"] = runner.ot_party(role, mine, ot_params, seed, choice)
             except BaseException as exc:
                 result["exc"] = exc
 
@@ -525,9 +525,14 @@ class TestHostilePeer:
         party.join(HOSTILE_JOIN_TIMEOUT)
         assert not party.is_alive()
         assert "exc" not in result, result.get("exc")
-        out = result["out"]
+        return result["out"], [decode_message(frame) for label, frame in transcript if label == "A"]
+
+    @classmethod
+    def _run(cls, role, incoming, seed=HOSTILE_SEED, choice=None):
+        """`_drive` against a peer that the party must refuse."""
+        out, sent = cls._drive(role, incoming, seed, choice)
         assert not out.get("accepted", out.get("completed"))
-        return out, [decode_message(frame) for label, frame in transcript if label == "A"]
+        return out, sent
 
     @pytest.mark.parametrize("kind", ["padding", "wrong-type", "short-query", "peer-abort"])
     @pytest.mark.parametrize("role,step", CASES)
@@ -582,6 +587,27 @@ class TestHostilePeer:
                               seed=seed, choice=choice)
         assert out["reason"] is Reason.MALFORMED_MESSAGE
         assert sent[-1] == ResultMsg(False, Reason.MALFORMED_MESSAGE, BitString.zeros(0))
+
+    def test_spoiled_helper_closes_alike_for_either_d(self):
+        # With a code that detects instead of corrects (radius 0), a sender
+        # that spoils branch 0's helper fails exactly the receivers that
+        # decode branch 0.  The closing frame must not tell it which did.
+        code = LinearCode(7, LinearCode.hamming_7_4().rows, radius=0)
+        params = derive_ot_params(n=4096, ell=14, code=code, delta=0.0, xi=0.0)
+        closings, reasons = {0: set(), 1: set()}, set()
+        for seed in range(12):
+            honest = runner.run_ot_session(params, seed=seed)
+            sender = [frame for label, frame in honest.transcript if label == "A"]
+            payload = decode_message(sender[params.m])
+            spoiled = dataclasses.replace(payload, p0=payload.p0 ^ BitString(params.p_len, 1))
+            out, sent = self._drive("receiver", sender[:params.m] + [encode_message(spoiled)],
+                                    seed=seed, ot_params=params)
+            e = next(m.e for m in sent if isinstance(m, EBit))
+            closings[e ^ out["choice"]].add(encode_message(sent[-1]))
+            reasons.add(out["reason"])
+        assert reasons == {Reason.OK, Reason.DECODE_FAILURE}
+        ok = encode_message(ResultMsg(True, Reason.OK, BitString.zeros(0)))
+        assert closings == {0: {ok}, 1: {ok}}
 
     def test_refused_hash_aborts_committer(self):
         # A well-formed HashDesc whose diagonal does not fit k and the digest length
@@ -770,9 +796,9 @@ class TestCLI:
         params = derive_ot_params(n=1024, ell=14, code=LinearCode.hamming_7_4())
         s0 = BitString.zeros(params.payload_len).to_str()
         s1 = "1" * params.payload_len
-        ends = dict(zip(("A", "B"), channel.socketpair_channels()))
-        monkeypatch.setattr(cli, "listen_channel", lambda host, port, label: ends[label])
-        monkeypatch.setattr(cli, "connect_channel", lambda host, port, label: ends[label])
+        listener, dialer = channel.socketpair_channels()
+        monkeypatch.setattr(cli, "listen_channel", lambda host, port: listener)
+        monkeypatch.setattr(cli, "connect_channel", lambda host, port: dialer)
         argv = ["ot", "--n", "1024", "--ell", "14", "--code", "hamming", "--seed", "3",
                 "--choice", "1", "--s0", s0, "--s1", s1, "--json"]
         codes = {}

@@ -89,7 +89,10 @@ class TestCodeFamilies:
         built = 0
         while built < 5:
             rows = tuple(rng.getrandbits(8) for _ in range(4))
-            if gf2.row_rank(rows) != 4:
+            ech = gf2.Echelon()
+            for r in rows:
+                ech.add(r)
+            if ech.rank != 4:
                 continue
             c = LinearCode(8, rows)
             built += 1

@@ -71,9 +71,9 @@ HIDE_A = IndexSet(12, (2, 3, 6, 7, 10, 11))
 class TestHiding:
     def test_prefix_storage_frozen(self):
         rep = hiding_distance(
-            n=12, k=6, a_positions=HIDE_A,
+            a_positions=HIDE_A,
             stored_positions=IndexSet(12, (0, 1, 2, 3)),
-            stored_value=BitString.zeros(4), digest_len=2, m=1,
+            stored_value=BitString.zeros(4), digest_len=2,
         )
         assert rep.distance == pytest.approx(0.232422, abs=1e-6)
         assert rep.min_entropy == pytest.approx(2.0, abs=1e-9)
@@ -82,9 +82,9 @@ class TestHiding:
 
     def test_no_storage_frozen(self):
         rep = hiding_distance(
-            n=12, k=6, a_positions=HIDE_A,
+            a_positions=HIDE_A,
             stored_positions=IndexSet(12, ()),
-            stored_value=BitString.zeros(0), digest_len=2, m=1,
+            stored_value=BitString.zeros(0), digest_len=2,
         )
         assert rep.distance == pytest.approx(503 / 8192, abs=1e-9)
         assert rep.min_entropy == pytest.approx(4.0, abs=1e-9)
@@ -93,9 +93,9 @@ class TestHiding:
     def test_equal_values_distance_zero(self):
         v = BitString(1, 1)
         rep = hiding_distance(
-            n=12, k=6, a_positions=HIDE_A,
+            a_positions=HIDE_A,
             stored_positions=IndexSet(12, (0, 1, 2, 3)),
-            stored_value=BitString.zeros(4), digest_len=2, m=1,
+            stored_value=BitString.zeros(4), digest_len=2,
             v0=v, v1=v,
         )
         assert rep.distance == 0.0
@@ -103,9 +103,9 @@ class TestHiding:
     def test_full_storage_inversion(self):
         # the adversary keeps all six sampled bits: distance hits 1
         rep = hiding_distance(
-            n=12, k=6, a_positions=HIDE_A,
+            a_positions=HIDE_A,
             stored_positions=HIDE_A,
-            stored_value=BitString.zeros(6), digest_len=2, m=1,
+            stored_value=BitString.zeros(6), digest_len=2,
         )
         assert rep.distance == pytest.approx(1.0)
         assert rep.min_entropy == pytest.approx(0.0)
@@ -114,22 +114,22 @@ class TestHiding:
     def test_stored_positions_on_another_ground_refused(self):
         with pytest.raises(ValueError, match="ground"):
             hiding_distance(
-                n=12, k=6, a_positions=HIDE_A,
+                a_positions=HIDE_A,
                 stored_positions=IndexSet(13, (0, 1, 2, 3)),
-                stored_value=BitString.zeros(4), digest_len=2, m=1,
+                stored_value=BitString.zeros(4), digest_len=2,
             )
 
     def test_stored_value_shorter_than_positions_refused(self):
         with pytest.raises(ValueError, match="ground"):
             hiding_distance(
-                n=12, k=6, a_positions=HIDE_A,
+                a_positions=HIDE_A,
                 stored_positions=IndexSet(12, (0, 1, 2, 3)),
-                stored_value=BitString.zeros(3), digest_len=2, m=1,
+                stored_value=BitString.zeros(3), digest_len=2,
             )
 
     def test_regime_refusal(self):
         with pytest.raises(RegimeError):
-            hiding_distance(n=13, k=6, a_positions=IndexSet(13, range(6)),
+            hiding_distance(a_positions=IndexSet(13, range(6)),
                             stored_positions=IndexSet(13, ()),
                             stored_value=BitString.zeros(0), digest_len=2)
 
@@ -189,6 +189,11 @@ class TestLemmas:
         assert h_min == pytest.approx(3.19265, abs=1e-4)
         assert lower == pytest.approx(1.65148, abs=1e-4)
         assert h_min >= lower
+
+    def test_entropy_support_ignores_float_dust(self):
+        # 3 * 0.1 * 10 == 3.0000000000000004: three support bits, not four
+        h_min, _ = lemma_entropy_hd(10, 3 * 0.1, 0.0)
+        assert h_min == pytest.approx(3.0)
 
     def test_entropy_regime(self):
         with pytest.raises(RegimeError):

@@ -21,7 +21,7 @@ from bsme.reasons import Reason, SetupAbort
 
 def run_session(m: int, w: BitString, rng: random.Random):
     q = Querier(m, rng)
-    r = Respondent(m, w)
+    r = Respondent(w)
     while not q.finished:
         q.take_response(r.respond(q.next_query()))
     return q.outcome(), r.outcome()
@@ -30,7 +30,7 @@ def run_session(m: int, w: BitString, rng: random.Random):
 def recorded_session(m: int, w: BitString, rng: random.Random):
     """Both parties after m-1 rounds, plus the raw queries and responses sent."""
     q = Querier(m, rng)
-    r = Respondent(m, w)
+    r = Respondent(w)
     queries, responses = [], []
     while not q.finished:
         query = q.next_query()
@@ -137,7 +137,7 @@ class TestStateMachine:
         q.outcome()
 
     def test_respondent_rejects_dependent_queries(self):
-        r = Respondent(4, BitString(4, 5))
+        r = Respondent(BitString(4, 5))
         assert r.respond(BitString(4, 0b0011)) in (0, 1)
         with pytest.raises(DependentQueryError):
             r.respond(BitString(4, 0b0011))
@@ -151,10 +151,8 @@ class TestStateMachine:
 
     def test_respondent_validation(self):
         with pytest.raises(ValueError):
-            Respondent(1, BitString(1, 0))
-        with pytest.raises(ValueError):
-            Respondent(3, BitString(2, 0))
-        r = Respondent(2, BitString(2, 0))
+            Respondent(BitString(1, 0))
+        r = Respondent(BitString(2, 0))
         with pytest.raises(SetupAbort) as info:
             r.respond(BitString(3, 1))
         assert info.value.reason is Reason.MALFORMED_MESSAGE
@@ -217,7 +215,7 @@ class TestHiding:
             _, r, queries, responses = recorded_session(m, w, rng)
             out = r.outcome()
             other = out.pair[1 - out.d]
-            replay = Respondent(m, other)
+            replay = Respondent(other)
             for qq, rr in zip(queries, responses):
                 assert replay.respond(BitString(m, qq)) == rr
 
@@ -268,7 +266,7 @@ class TestReducedRowsSolve:
         m = 16
         w = BitString.random(m, rng)
         q = Querier(m, rng)
-        r = Respondent(m, w)
+        r = Respondent(w)
         sent = []
         for _ in range(6):
             query = q.next_query()
@@ -330,7 +328,7 @@ class TestOrdering:
         draws = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=m - 1, max_size=m - 1))
         queries = independent_queries(m, draws)
         w = data.draw(st.integers(0, (1 << m) - 1))
-        r = Respondent(m, BitString(m, w))
+        r = Respondent(BitString(m, w))
         responses = [r.respond(BitString(m, q)) for q in queries]
         expect = tuple(BitString(m, v) for v in brute_force_pair(m, queries, responses))
         assert solve_pair(queries, responses, m) == expect

@@ -137,12 +137,8 @@ class TestFeasibility:
         mid = zyablov_delta(0.5)
         assert 0.0 < mid < inv_binary_entropy(0.5) / 2.0
         assert zyablov_delta(0.1) > mid > zyablov_delta(0.9)
-        # a positive floor on the inner rate can only shrink the radius
-        assert zyablov_delta(0.5, theta=0.1) < mid
         with pytest.raises(ValueError):
             zyablov_delta(0.0)
-        with pytest.raises(ValueError):
-            zyablov_delta(0.5, theta=-0.1)
 
     @given(st.integers(1, 400), st.integers(1, 40))
     def test_subset_size_even_floor(self, n, ell):
@@ -306,6 +302,20 @@ class TestDeriveOT:
             derive_ot_params(n=4096, ell=14, code=LinearCode.hamming_7_4(),
                              zeta_ih=1.0)
         assert info.value.requirement == "0 < zeta_ih < 1"
+
+    @pytest.mark.parametrize("eps_hat", [0.0, 1.0])
+    def test_requirement_eps_hat_band(self, eps_hat):
+        with pytest.raises(ParameterError) as info:
+            derive_ot_params(n=4096, ell=14, code=LinearCode.hamming_7_4(),
+                             eps_hat=eps_hat)
+        assert info.value.requirement == "0 < eps_hat < 1"
+
+    @pytest.mark.parametrize("tau", [0.0, 0.34])
+    def test_requirement_tau_band(self, tau):
+        # rho < 1, so tau <= rho/3 already keeps tau below 1
+        with pytest.raises(ParameterError) as info:
+            derive_ot_params(n=4096, ell=14, code=LinearCode.hamming_7_4(), tau=tau)
+        assert info.value.requirement == "0 < tau <= rho/3"
 
     def test_trivial_code_noise_free_only(self):
         p = derive_ot_params(n=4096, ell=14, code=LinearCode.trivial(1),

@@ -122,7 +122,7 @@ class TestAborts:
         sender.transmit(pair)
         receiver.transmit(pair)
         receiver.receive_positions(sender.begin_setup())
-        receiver.respondent = Respondent(PARAMS.m, BitString(PARAMS.m, (1 << PARAMS.m) - 1))
+        receiver.respondent = Respondent(BitString(PARAMS.m, (1 << PARAMS.m) - 1))
         while not sender.querier.finished:
             sender.take_response(receiver.respond(sender.next_query()))
         for party in (sender, receiver):

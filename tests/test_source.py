@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bsme.bits import BitString, IndexSet
-from bsme.infomath import floor_tol
+from bsme.infomath import ceil_tol, floor_tol
 from bsme.source import SourceConfig, SourcePair, generate, sample_positions, source_word
 
 
@@ -36,9 +36,15 @@ class TestGenerate:
     def test_support_size_and_zeros(self, n, alpha, seed):
         # the support is the first draw of the seed's generator
         pair = generate(SourceConfig(n=n, alpha=alpha, seed=seed))
-        support = sample_positions(n, math.ceil(alpha * n), random.Random(seed))
-        assert len(support) == math.ceil(alpha * n)
+        support = sample_positions(n, ceil_tol(alpha * n), random.Random(seed))
+        assert len(support) == ceil_tol(alpha * n)
         assert all(pair.x.bit(i) == 0 for i in range(n) if i not in support)
+
+    def test_float_dust_adds_no_support_position(self):
+        # 0.07 * 100 == 7.000000000000001, yet the support keeps 7 positions
+        pair = generate(SourceConfig(n=100, alpha=0.07, seed=0))
+        rng = random.Random(0)
+        assert pair.x == source_word_ref(sample_positions_ref(100, 7, rng), rng)
 
     @given(st.integers(1, 96), st.floats(0.0, 0.5), st.integers(0, 2**16))
     def test_error_count_exact(self, n, delta, seed):
@@ -239,7 +245,7 @@ def stream_digest(n: int, alpha: float, delta: float) -> str:
             h.update(part.length.to_bytes(8, "little") + part.to_bytes())
         # the positions generate drew, replayed through the references
         rng = random.Random(seed)
-        support = sample_positions_ref(n, math.ceil(alpha * n), rng)
+        support = sample_positions_ref(n, ceil_tol(alpha * n), rng)
         source_word_ref(support, rng)
         errors = sample_positions_ref(n, floor_tol(delta * n), rng)
         for pos in (support, errors):
