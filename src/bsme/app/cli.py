@@ -56,6 +56,16 @@ _CODES = {
     "repetition5": lambda: LinearCode.repetition(5),
     "trivial": LinearCode.trivial,
 }
+# `attack --which` runs one of these, or all of them in this order.
+_ATTACKS = {
+    "binding": lambda args: binding_attack(k=16, digest_len=16, sigma=1 / 16,
+                                           trials=args.trials, seed=args.seed),
+    "hiding": lambda args: hiding_distance(
+        a_positions=IndexSet(12, (2, 3, 6, 7, 10, 11)), stored_positions=IndexSet(12, (0, 1, 2, 3)),
+        stored_value=BitString.zeros(4), digest_len=2),
+    "offbranch": lambda args: ot_offbranch_distance(LinearCode.repetition(3), out_len=1),
+    "theta": lambda args: ih_theta_attack(m=12, t=6, trials=args.trials, seed=args.seed),
+}
 
 
 def _load_config(path: str) -> dict:
@@ -172,7 +182,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     # 14 is the C05 point: Hamming(7,4) blocks fit it at the default noise.
     p.add_argument("--ell", type=int, default=14, help="overlap requirement")
     p.add_argument("--xi", type=float, default=0.05, help="decoding slack rate")
-    p.add_argument("--zeta-ih", type=float, default=0.5, help="hash truncation rate")
     p.add_argument("--tau", type=float, default=None, help="sampling slack rate")
     p.add_argument("--m-f", type=float, default=None, help="payload rate")
     p.add_argument("--eps-hat", type=float, default=0.25, help="abort probability budget")
@@ -184,8 +193,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ot)
 
     p = subs.add_parser("attack", help="run desk-scale attacks against their bounds")
-    p.add_argument("--which", choices=("binding", "hiding", "offbranch", "theta", "all"),
-                   default="all")
+    p.add_argument("--which", choices=(*_ATTACKS, "all"), default="all")
     p.add_argument("--trials", type=_positive_int, default=300)
     p.set_defaults(func=cmd_attack)
 
@@ -308,8 +316,8 @@ def _pick_code(args) -> LinearCode:
 def cmd_ot(args) -> int:
     params = derive_ot_params(
         n=args.n, ell=args.ell, code=_pick_code(args), alpha=args.alpha,
-        gamma=args.gamma, delta=args.delta, xi=args.xi, zeta_ih=args.zeta_ih,
-        tau=args.tau, m_f=args.m_f, eps_hat=args.eps_hat,
+        gamma=args.gamma, delta=args.delta, xi=args.xi, tau=args.tau, m_f=args.m_f,
+        eps_hat=args.eps_hat,
     )
     secrets = None
     if (args.s0 is None) != (args.s1 is None):
@@ -370,52 +378,27 @@ def _network_party(args, protocol: str, params, secrets=None) -> int:
     return EXIT_OK if ok else EXIT_REJECTED
 
 
-def cmd_attack(args) -> int:
-    reports = []
-    which = args.which
-    if which in ("binding", "all"):
-        reports.append(binding_attack(k=16, digest_len=16, sigma=1 / 16,
-                                      trials=args.trials, seed=args.seed))
-    if which in ("hiding", "all"):
-        reports.append(hiding_distance(
-            a_positions=IndexSet(12, (2, 3, 6, 7, 10, 11)),
-            stored_positions=IndexSet(12, (0, 1, 2, 3)),
-            stored_value=BitString.zeros(4),
-            digest_len=2,
-        ))
-    if which in ("offbranch", "all"):
-        reports.append(ot_offbranch_distance(LinearCode.repetition(3), out_len=1))
-    if which in ("theta", "all"):
-        reports.append(ih_theta_attack(m=12, t=6, trials=args.trials, seed=args.seed))
+def _checks(args, reports) -> int:
+    """Print each report's line, or one JSON row per report."""
     ok = all(r.passed for r in reports)
-    payload = {"checks": [_report_dict(r) for r in reports], "passed": ok}
+    payload = {"checks": [{**asdict(r), "passed": r.passed} for r in reports], "passed": ok}
     _emit(args, payload, [r.line() for r in reports])
     return EXIT_OK if ok else EXIT_BOUND
 
 
-def _report_dict(rep) -> dict:
-    return {**asdict(rep), "passed": rep.passed}
+def cmd_attack(args) -> int:
+    names = _ATTACKS if args.which == "all" else (args.which,)
+    return _checks(args, [_ATTACKS[name](args) for name in names])
 
 
 def cmd_lemmas(args) -> int:
-    reports = [
+    return _checks(args, [
         lemma_birthday(n=2048, ell=16, trials=args.trials, seed=args.seed),
-        lemma_subset_hd(n=4096, r=256, delta=0.05, nu=0.1,
-                        trials=args.trials, seed=args.seed),
-    ]
-    checks = [_report_dict(r) for r in reports]
-    lines = [r.line() for r in reports]
-    held, worst = lemma_binom_bound()
-    checks.append({"name": "lemma-binom", "worst_ratio": worst, "passed": held})
-    lines.append(f"attack=lemma-binom worst_ratio={worst:.6g} pass={held}")
-    entropy = lemma_entropy_hd(n=8, alpha=0.75, delta=0.125, seed=args.seed)
-    checks.append({"name": "lemma-entropy-hd", "h_min": entropy.h_min, "lower": entropy.lower,
-                   "passed": entropy.passed})
-    lines.append(f"attack=lemma-entropy-hd h_min={entropy.h_min:.6g} lower={entropy.lower:.6g} "
-                 f"pass={entropy.passed}")
-    ok = all(c["passed"] for c in checks)
-    _emit(args, {"checks": checks, "passed": ok}, lines)
-    return EXIT_OK if ok else EXIT_BOUND
+        *lemma_subset_hd(n=4096, r=256, delta=0.05, nu=0.1,
+                         trials=args.trials, seed=args.seed),
+        lemma_binom_bound(),
+        lemma_entropy_hd(n=8, alpha=0.75, delta=0.125, seed=args.seed),
+    ])
 
 
 def cmd_selftest(args) -> int:
@@ -430,8 +413,7 @@ def cmd_selftest(args) -> int:
     ot_out = run_ot_session(ot_params, seed=args.seed)
     checks.append(("ot-correct", ot_out.correct))
 
-    held, _worst = lemma_binom_bound(k_max=16)
-    checks.append(("binom-bound", held))
+    checks.append(("binom-bound", lemma_binom_bound(k_max=16).passed))
 
     rep = binding_attack(k=12, digest_len=12, sigma=1 / 12, trials=60, seed=args.seed)
     checks.append(("binding-bound", rep.passed))

@@ -1,13 +1,15 @@
 """Adversarial attacks and concentration-bound checks at desk scale.
 
-Every report carries the theoretical bound it was checked against, computed
-from the relevant formula at run time (never hard-coded), and a pass flag
-meaning "the observation stayed within the bound".  Monte Carlo bounds get a
-2x slack factor and bounds with unknown leading constants get 4x; exact
-enumeration results are compared without slack.  Oversized regimes raise
+Every check returns one of two reports, each carrying the theoretical bound
+it was checked against, computed from the relevant formula at run time
+(never hard-coded), and a pass flag meaning "the observation stayed within
+the bound".  An :class:`AttackReport` counts successes over Monte Carlo
+trials; its bounds get a 2x slack factor, or 4x where the leading constant
+is unknown.  An :class:`ExactReport` holds a value found by enumeration or
+exhaustive search and compares it without slack.  Oversized regimes raise
 :class:`RegimeError` instead of sampling their way to a misleading answer,
 and a Monte Carlo check asked for fewer than one trial raises ValueError, as
-does a rate report built with fewer than one trial.
+does an attack report built with fewer than one trial.
 
 The random subsets of the Monte Carlo checks (theta targets, lemma samples
 and error sets) come from the source's block sampler ``_uniform_subset``,
@@ -22,7 +24,6 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .bits import BitString, IndexSet
 from .codes import LinearCode, fuzzy_ext
@@ -43,7 +44,7 @@ from .source import _uniform_subset
 __all__ = [
     "RegimeError",
     "AttackReport",
-    "EnumerationReport",
+    "ExactReport",
     "binding_attack",
     "hiding_distance",
     "ot_offbranch_distance",
@@ -89,22 +90,28 @@ class AttackReport:
 
 
 @dataclass(frozen=True)
-class EnumerationReport:
+class ExactReport:
+    """An exact value against its bound: at most the bound, or with
+    ``at_least`` at least the bound up to ``floor_tol``'s float dust."""
+
     name: str
-    distance: float
+    value: float
     bound: float
     bound_formula: str
-    min_entropy: float
+    at_least: bool = False
+    min_entropy: float | None = None
 
     @property
     def passed(self) -> bool:
-        return self.distance <= self.bound
+        if self.at_least:
+            return self.value >= self.bound - 1e-9
+        return self.value <= self.bound
 
     def line(self) -> str:
+        entropy = "" if self.min_entropy is None else f" min_entropy={self.min_entropy:.6g}"
         return (
-            f"attack={self.name} distance={self.distance:.6g} "
-            f"bound={self.bound:.6g} min_entropy={self.min_entropy:.6g} "
-            f"pass={self.passed}"
+            f"attack={self.name} value={self.value:.6g} bound={self.bound:.6g}"
+            f"{entropy} pass={self.passed}"
         )
 
 
@@ -181,7 +188,7 @@ def hiding_distance(
     digest_len: int,
     v0: BitString = BitString.zeros(1),
     v1: BitString = BitString(1, 1),
-) -> EnumerationReport:
+) -> ExactReport:
     """Exact distance between the commit transcripts of two values.
 
     The committer samples k = len(a_positions) of n = a_positions.ground
@@ -245,9 +252,9 @@ def hiding_distance(
     distance = statistical_distance(Distribution(probs0), Distribution(probs1))
     h_min = cond_min_entropy(Distribution(by_class))
     bound = 0.5 * 2.0 ** ((m - h_min) / 2.0)
-    return EnumerationReport(
+    return ExactReport(
         name="hiding",
-        distance=distance,
+        value=distance,
         bound=bound,
         bound_formula="0.5 * 2**((m - Hmin) / 2)",
         min_entropy=h_min,
@@ -262,7 +269,7 @@ def ot_offbranch_distance(
     code: LinearCode,
     out_len: int,
     stored_all: bool = False,
-) -> EnumerationReport:
+) -> ExactReport:
     """Exact distance of (pad, seed, helper) from (uniform, seed, helper).
 
     Pad and helper are ``fuzzy_ext``'s output on one code block.  The
@@ -303,9 +310,9 @@ def ot_offbranch_distance(
         distance += statistical_distance(Distribution(joint), Distribution(ideal)) / len(groups)
         h_min = min(h_min, cond_min_entropy(Distribution(x_and_p)))
     bound = 0.5 * 2.0 ** ((out_len - h_min) / 2.0)
-    return EnumerationReport(
+    return ExactReport(
         name="ot-offbranch",
-        distance=distance,
+        value=distance,
         bound=bound,
         bound_formula="0.5 * 2**((out_len - Hmin) / 2)",
         min_entropy=h_min,
@@ -390,44 +397,17 @@ def lemma_birthday(n: int, ell: int, trials: int, seed: int = 0) -> AttackReport
     )
 
 
-@dataclass(frozen=True)
-class TwoSidedReport:
-    name: str
-    trials: int
-    upper_violations: int
-    lower_violations: int
-    bound: float
-    bound_formula: str
-
-    def __post_init__(self):
-        _check_trials(self.trials)
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.upper_violations / self.trials <= self.bound
-            and self.lower_violations / self.trials <= self.bound
-        )
-
-    def line(self) -> str:
-        return (
-            f"attack={self.name} trials={self.trials} "
-            f"upper_rate={self.upper_violations / self.trials:.6g} "
-            f"lower_rate={self.lower_violations / self.trials:.6g} "
-            f"bound={self.bound:.6g} pass={self.passed}"
-        )
-
-
 def lemma_subset_hd(
     n: int, r: int, delta: float, nu: float, trials: int, seed: int = 0
-) -> TwoSidedReport:
+) -> tuple[AttackReport, AttackReport]:
     """Random r-subsets track the global error rate within nu both ways.
 
     The words are built at Hamming distance exactly floor(delta*n), which
     satisfies both hypotheses (distance at most and at least delta*n), so a
     single experiment checks the upper tail HD_S >= (delta+nu)*r and the
-    lower tail HD_S <= (delta-nu)*r against exp(-r * nu**2 / 2) each.  The
-    error positions and every r-subset come from the block sampler.
+    lower tail HD_S <= (delta-nu)*r against exp(-r * nu**2 / 2) each, and
+    returns one report per tail.  The error positions and every r-subset
+    come from the block sampler.
     """
     _check_trials(trials)
     rng = random.Random(seed)
@@ -443,53 +423,33 @@ def lemma_subset_hd(
         if hd <= lo:
             lower += 1
     bound = MONTE_CARLO_SLACK * math.exp(-r * nu * nu / 2.0)
-    return TwoSidedReport(
-        name="lemma-subset-hd",
-        trials=trials,
-        upper_violations=upper,
-        lower_violations=lower,
-        bound=bound,
-        bound_formula="2 * exp(-r * nu**2 / 2)",
-    )
+    formula = "2 * exp(-r * nu**2 / 2)"
+    return (AttackReport("lemma-subset-hd-upper", trials, upper, bound, formula),
+            AttackReport("lemma-subset-hd-lower", trials, lower, bound, formula))
 
 
-def lemma_binom_bound(k_max: int = 24) -> tuple[bool, float]:
+def lemma_binom_bound(k_max: int = 24) -> ExactReport:
     """sum_{i=1..floor(sigma*k)} C(k,i) <= 2**(h(sigma)*k) on a sigma grid.
 
-    Returns (all held, worst ratio of left to right side).
+    The report's value is the worst ratio of left to right side over
+    k <= k_max and sigma = 1/16 .. 7/16.
     """
     worst = 0.0
-    ok = True
     for k in range(1, k_max + 1):
         for num in range(1, 8):
             sigma = num / 16.0
-            if sigma > 0.5:
-                continue
             lhs = sum(math.comb(k, i) for i in range(1, floor_tol(sigma * k) + 1))
-            rhs = 2.0 ** (binary_entropy(sigma) * k)
-            if lhs:
-                ratio = lhs / rhs
-                worst = max(worst, ratio)
-                ok = ok and lhs <= rhs
-    return ok, worst
+            worst = max(worst, lhs / 2.0 ** (binary_entropy(sigma) * k))
+    return ExactReport("lemma-binom", worst, 1.0, "sum_{1<=i<=sigma*k} C(k,i) <= 2**(h(sigma)*k)")
 
 
-class EntropyHDReport(NamedTuple):
-    h_min: float
-    lower: float
-
-    @property
-    def passed(self) -> bool:
-        return self.h_min >= self.lower
-
-
-def lemma_entropy_hd(n: int, alpha: float, delta: float, seed: int = 0) -> EntropyHDReport:
+def lemma_entropy_hd(n: int, alpha: float, delta: float, seed: int = 0) -> ExactReport:
     """Exhaustive worst-coupling min-entropy after delta*n adversarial flips.
 
     Builds the exact entropy-construction distribution on an n-bit source,
     lets the coupling move every word anywhere within distance floor(delta*n),
-    and returns (worst achievable Hmin(Y), lower bound (alpha - h(delta))*n),
-    whose ``passed`` compares the two without slack.
+    and reports the worst achievable Hmin(Y) against the lower bound
+    (alpha - h(delta))*n.
     The worst coupling concentrates each mass ball onto its most popular
     center, so Hmin(Y) >= Hmin(X) - log2(ball size) >= (alpha - h(delta))*n.
     """
@@ -510,4 +470,4 @@ def lemma_entropy_hd(n: int, alpha: float, delta: float, seed: int = 0) -> Entro
         best_center_mass = max(best_center_mass, total)
     h_min = -math.log2(best_center_mass)
     lower = (alpha - binary_entropy(delta)) * n
-    return EntropyHDReport(h_min, lower)
+    return ExactReport("lemma-entropy-hd", h_min, lower, "(alpha - h(delta)) * n", at_least=True)

@@ -55,6 +55,9 @@ __all__ = [
 PSI_EXT = 0.1
 # eps_prime: the smoothing error charged to rho, log2(1/eps_prime) bits.
 EPS_PRIME = 2.0**-32
+# zeta_ih: the share of the tail log2(1/(eps_prime + eps_dprime)) that the
+# transfer's interactive-hashing target exponent t gives up.
+ZETA_IH = 0.5
 
 
 class ParameterError(ValueError):
@@ -202,9 +205,9 @@ def ot_gv_delta_threshold(s: float) -> float:
 def zyablov_delta(rate: float) -> float:
     """Largest relative decoding radius of the concatenated-code tradeoff.
 
-    delta(R) = max over R < r < 1 of (1 - r) * h^-1(1 - R/r) / 2,
-    evaluated on a 1e-3 grid and refined by golden-section search around the
-    best grid point.
+    delta(R) = max over R < r < 1 of (1 - r) * h^-1(1 - R/r) / 2.  The
+    objective vanishes at both ends and is unimodal in between, so a
+    golden-section search over (R, 1) finds the maximum.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must lie in (0, 1)")
@@ -212,24 +215,12 @@ def zyablov_delta(rate: float) -> float:
     def value(r: float) -> float:
         return (1.0 - r) * inv_binary_entropy(1.0 - rate / r) / 2.0
 
-    step = 1e-3
-    best_r, best_v = None, 0.0
-    r = rate + step
-    while r < 1.0 - 1e-12:
-        v = value(r)
-        if v > best_v:
-            best_r, best_v = r, v
-        r += step
-    if best_r is None:
-        return 0.0
-    lo = max(rate + 1e-12, best_r - step)
-    hi = min(1.0 - 1e-12, best_r + step)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = rate, 1.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = value(c), value(d)
-    for _ in range(60):
+    for _ in range(80):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -238,7 +229,7 @@ def zyablov_delta(rate: float) -> float:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = value(d)
-    return max(best_v, fc, fd, 0.0)
+    return max(fc, fd)
 
 
 def subset_size_for(n: int, ell: int) -> int:
@@ -400,7 +391,6 @@ def derive_ot_params(
     gamma: float = 0.0,
     delta: float = 0.0,
     xi: float = 0.05,
-    zeta_ih: float = 0.5,
     tau: float | None = None,
     m_f: float | None = None,
     eps_hat: float = 0.25,
@@ -416,8 +406,6 @@ def derive_ot_params(
         tau = min(0.02, r / 6.0)
     if not 0.0 < tau <= r / 3.0:
         raise ParameterError("0 < tau <= rho/3", f"tau={tau}, rho/3={r / 3.0:.6f}")
-    if not 0.0 < zeta_ih < 1.0:
-        raise ParameterError("0 < zeta_ih < 1")
     hat_term = (1.0 + math.log2(1.0 / eps_hat)) / ell
     if m_f is None:
         budget = r + float(rate) - 1.0 - 3.0 * tau - hat_term
@@ -436,12 +424,12 @@ def derive_ot_params(
     nu = tau / math.log2(1.0 / tau)
     eps_dprime = math.exp(-ell * nu * nu / 2.0)
     tail = math.log2(1.0 / (EPS_PRIME + eps_dprime)) if EPS_PRIME + eps_dprime < 1.0 else 0.0
-    t = m - math.ceil(zeta_ih * max(0.0, tail))
+    t = m - math.ceil(ZETA_IH * max(0.0, tail))
     t = max(0, min(m, t))
     p_len = (ell // code.length) * (code.length - code.dimension)
     return OTParams(
         n=n, ell=ell, alpha=alpha, gamma=gamma, delta=delta, xi=xi,
-        zeta_ih=zeta_ih, tau=tau, m_f=m_f, eps_prime=EPS_PRIME, eps_hat=eps_hat,
+        zeta_ih=ZETA_IH, tau=tau, m_f=m_f, eps_prime=EPS_PRIME, eps_hat=eps_hat,
         code=code, k=k, rho=r, rate=rate, m=m, t=t, k_f=k_f,
         eps_dprime=eps_dprime, p_len=p_len, payload_len=payload_len,
     )

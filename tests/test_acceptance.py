@@ -7,15 +7,15 @@ measurements so the lines are self-contained.
 
 import itertools
 import math
-import random
 import time
 from fractions import Fraction
 
 from _criteria import record
+from _sessions import commit_session, ot_session
 
 from bsme.bits import BitString, IndexSet
 from bsme.codes import LinearCode, fuzzy_ext, fuzzy_rec
-from bsme.commit import Committer, OpenMessage, Verifier
+from bsme.commit import OpenMessage
 from bsme.harness import (
     binding_attack,
     hiding_distance,
@@ -35,8 +35,7 @@ from bsme.infomath import (
     ot_gv_delta_threshold,
     zyablov_delta,
 )
-from bsme.ot import OTReceiver, OTSender, SetupAbort
-from bsme.source import SourceConfig, generate
+from bsme.ot import SetupAbort
 from bsme.subsets import DenseCode, subset_rank
 from bsme.app import framing, runner
 from bsme.app.framing import AbortMsg, EBit, SetA, encode_message
@@ -49,26 +48,10 @@ OT_PARAMS = derive_ot_params(n=4096, ell=14, code=LinearCode.hamming_7_4(),
                              m_f=Fraction(1, 7), eps_hat=0.25)
 
 
-def commit_session(params, seed, tamper=None):
-    """One in-process commit session; tamper may rewrite the opening."""
-    pair = generate(SourceConfig(n=params.n, alpha=params.alpha,
-                                 delta=params.delta, seed=f"{seed}:src"))
-    value = BitString.random(params.m, random.Random(f"{seed}:val"))
-    com = Committer(params, value, random.Random(f"{seed}:c"))
-    ver = Verifier(params, random.Random(f"{seed}:v"))
-    com.transmit(pair)
-    ver.transmit(pair)
-    ver.receive_commitment(com.make_commitment(ver.choose_hash()))
-    opening = com.open()
-    if tamper is not None:
-        opening = tamper(opening, random.Random(f"{seed}:tamper"))
-    return ver.verify(opening)
-
-
 def test_c01_commit_honest_runs():
     t0 = time.perf_counter()
     sessions = 500
-    accepted = sum(commit_session(COMMIT_PARAMS, seed).accept
+    accepted = sum(commit_session(COMMIT_PARAMS, seed).result.accept
                    for seed in range(sessions))
     elapsed = time.perf_counter() - t0
     rate = accepted / sessions
@@ -86,19 +69,19 @@ def test_c02_commit_tamper_rejection():
     t0 = time.perf_counter()
     sessions = 200
 
-    def tamper_w(opening, rng):
+    def tamper_w(opening, run):
         return OpenMessage(value=opening.value,
-                           w=opening.w.flip(rng.randrange(opening.w.length)))
+                           w=opening.w.flip(run.tamper.randrange(opening.w.length)))
 
-    def tamper_value(opening, rng):
-        return OpenMessage(value=opening.value.flip(rng.randrange(opening.value.length)),
+    def tamper_value(opening, run):
+        return OpenMessage(value=opening.value.flip(run.tamper.randrange(opening.value.length)),
                            w=opening.w)
 
     rejected = 0
     for seed in range(sessions):
         tamper = tamper_w if seed % 2 == 0 else tamper_value
-        res = commit_session(COMMIT_PARAMS, 10_000 + seed, tamper=tamper)
-        rejected += not res.accept
+        run = commit_session(COMMIT_PARAMS, 10_000 + seed, edit_opening=tamper)
+        rejected += not run.result.accept
     elapsed = time.perf_counter() - t0
     rate = rejected / sessions
     ok = rate >= 0.99
@@ -143,39 +126,15 @@ def test_c04_hiding_exact():
                              digest_len=2,
                              v0=BitString(1, 1), v1=BitString(1, 1))
     elapsed = time.perf_counter() - t0
-    ok = (stored.passed and empty.passed and same_v.distance == 0.0
+    ok = (stored.passed and empty.passed and same_v.value == 0.0
           and elapsed < 300.0)
     record(4, "hiding exact enumeration", ok,
-           f"gamma_n=4: dist={stored.distance:.6f} <= "
+           f"gamma_n=4: dist={stored.value:.6f} <= "
            f"bound={stored.bound:.6f} (Hmin={stored.min_entropy:.3g}); "
-           f"gamma_n=0: dist={empty.distance:.6f} <= bound={empty.bound:.6f} "
+           f"gamma_n=0: dist={empty.value:.6f} <= bound={empty.bound:.6f} "
            f"(Hmin={empty.min_entropy:.3g}); equal-values dist="
-           f"{same_v.distance} (must be 0) time={elapsed:.1f}s (< 300s)")
+           f"{same_v.value} (must be 0) time={elapsed:.1f}s (< 300s)")
     assert ok
-
-
-def ot_session(params, seed):
-    """Returns 'correct', 'wrong', or 'abort'."""
-    pair = generate(SourceConfig(n=params.n, alpha=params.alpha,
-                                 delta=params.delta, seed=f"{seed}:src"))
-    rng_i = random.Random(f"{seed}:i")
-    secrets = (BitString.random(params.payload_len, rng_i),
-               BitString.random(params.payload_len, rng_i))
-    choice = rng_i.getrandbits(1)
-    snd = OTSender(params, secrets[0], secrets[1], random.Random(f"{seed}:s"))
-    rcv = OTReceiver(params, choice, random.Random(f"{seed}:r"))
-    snd.transmit(pair)
-    rcv.transmit(pair)
-    try:
-        rcv.receive_positions(snd.begin_setup())
-        while not snd.querier.finished:
-            snd.take_response(rcv.respond(snd.next_query()))
-        snd.finish_setup()
-        e = rcv.finish_setup()
-        got = rcv.receive_payload(snd.transfer(e))
-    except SetupAbort:
-        return "abort"
-    return "correct" if got == secrets[choice] else "wrong"
 
 
 def test_c05_ot_honest_runs():
@@ -185,7 +144,12 @@ def test_c05_ot_honest_runs():
     sessions = 500
     tally = {"correct": 0, "wrong": 0, "abort": 0}
     for seed in range(sessions):
-        tally[ot_session(p, seed)] += 1
+        try:
+            run = ot_session(p, seed)
+        except SetupAbort:
+            tally["abort"] += 1
+            continue
+        tally["correct" if run.output == run.secrets[run.choice] else "wrong"] += 1
     elapsed = time.perf_counter() - t0
     rate = tally["correct"] / sessions
     abort_rate = tally["abort"] / sessions
@@ -330,21 +294,21 @@ def test_c09_dense_encoding_exhaustive():
 def test_c10_lemma_oracles():
     t0 = time.perf_counter()
     birthday = lemma_birthday(n=4096, ell=16, trials=10_000, seed=0)
-    subset = lemma_subset_hd(n=4096, r=256, delta=0.15, nu=0.1,
-                             trials=4000, seed=0)
-    binom_ok, binom_worst = lemma_binom_bound(24)
+    upper, lower = lemma_subset_hd(n=4096, r=256, delta=0.15, nu=0.1,
+                                   trials=4000, seed=0)
+    binom = lemma_binom_bound(24)
     entropy8 = lemma_entropy_hd(8, 0.75, 0.125)
     entropy10 = lemma_entropy_hd(10, 0.8, 0.1)
     elapsed = time.perf_counter() - t0
-    ok = (birthday.passed and subset.passed and binom_ok
+    ok = (birthday.passed and upper.passed and lower.passed and binom.passed
           and entropy8.passed and entropy10.passed and elapsed < 180.0)
     record(10, "lemma oracles", ok,
            f"birthday rate={birthday.rate:.4g} <= {birthday.bound:.4g} "
-           f"(10^4 trials); subset-HD upper={subset.upper_violations} "
-           f"lower={subset.lower_violations} of 4000 vs bound "
-           f"{subset.bound:.3g}; binom worst_ratio={binom_worst:.4f} <= 1 "
-           f"(k<=24); entropy-HD n=8: {entropy8.h_min:.4f} >= {entropy8.lower:.4f}, "
-           f"n=10: {entropy10.h_min:.4f} >= {entropy10.lower:.4f} "
+           f"(10^4 trials); subset-HD upper={upper.successes} "
+           f"lower={lower.successes} of 4000 vs bound "
+           f"{upper.bound:.3g}; binom worst_ratio={binom.value:.4f} <= 1 "
+           f"(k<=24); entropy-HD n=8: {entropy8.value:.4f} >= {entropy8.bound:.4f}, "
+           f"n=10: {entropy10.value:.4f} >= {entropy10.bound:.4f} "
            f"time={elapsed:.1f}s (< 180s)")
     assert ok
 

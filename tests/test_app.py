@@ -871,3 +871,8 @@ class TestCLI:
         assert len(doc["checks"]) >= 4
         for check in doc["checks"]:
             assert check["name"] and check["passed"] is True
+            if argv[0] != "selftest":
+                # every check row carries its bound, and either a Monte
+                # Carlo count or an exact value
+                assert {"bound", "bound_formula"} <= set(check)
+                assert {"trials", "successes"} <= set(check) or "value" in check

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _sessions import commit_session
+
 from bsme.bits import BitString, IndexSet
 from bsme.commit import CommitMessage, Committer, OpenMessage, Verifier
 from bsme.infomath import derive_commit_params, floor_tol
@@ -18,30 +20,11 @@ NOISY = derive_commit_params(n=512, ell=8, alpha=1.0, gamma=0.1,
                              delta=0.02, zeta=0.05)
 
 
-def run(params, seed, value=None, noisy=False):
-    """One full honest session; returns (result, committer, verifier, opening)."""
-    rng_c = random.Random(f"{seed}:c")
-    rng_v = random.Random(f"{seed}:v")
-    pair = generate(SourceConfig(n=params.n, alpha=params.alpha,
-                                 delta=params.delta if noisy else 0.0,
-                                 seed=f"{seed}:src"))
-    if value is None:
-        value = BitString.random(params.m, random.Random(f"{seed}:val"))
-    com = Committer(params, value, rng_c)
-    ver = Verifier(params, rng_v)
-    com.transmit(pair)
-    ver.transmit(pair)
-    g = ver.choose_hash()
-    ver.receive_commitment(com.make_commitment(g))
-    opening = com.open()
-    return ver.verify(opening), com, ver, opening
-
-
 class TestHonest:
     def test_accepts_noiseless(self):
-        res, _, _, opening = run(PARAMS, 1)
-        assert res.accept and res.reason is Reason.OK
-        assert opening.value.length == PARAMS.m
+        run = commit_session(PARAMS, 1)
+        assert run.result.accept and run.result.reason is Reason.OK
+        assert run.opening.value.length == PARAMS.m
 
     def test_accepts_noisy(self):
         # An honest session at the noisy point may fail, at a few percent of
@@ -49,11 +32,12 @@ class TestHonest:
         # inside the overlap exceeds its tolerance, and accepts otherwise.
         accepted = 0
         for seed in range(8):
-            res, com, ver, _ = run(NOISY, seed, noisy=True)
+            run = commit_session(NOISY, seed)
+            res = run.result
             pair = generate(SourceConfig(n=NOISY.n, alpha=NOISY.alpha, delta=NOISY.delta,
                                          seed=f"{seed}:src"))
             errors = IndexSet.from_mask(pair.x ^ pair.x_tilde)
-            overlap = com.a.intersect(ver.b)
+            overlap = run.com.a.intersect(run.ver.b)
             noise = len(overlap.intersect(errors))
             if noise > floor_tol((NOISY.delta + NOISY.zeta) * len(overlap)):
                 assert res.reason is Reason.DISTANCE_EXCEEDED, f"seed {seed}: {res.reason}"
@@ -64,105 +48,95 @@ class TestHonest:
 
     @given(st.integers(0, 2**16))
     def test_accepts_any_seed(self, seed):
-        res, _, _, _ = run(PARAMS, seed)
-        assert res.accept
+        assert commit_session(PARAMS, seed).result.accept
 
     def test_value_roundtrips(self):
         value = BitString(PARAMS.m, 0b101 % (1 << PARAMS.m))
-        res, _, _, opening = run(PARAMS, 3, value=value)
-        assert res.accept
-        assert opening.value == value
+        run = commit_session(PARAMS, 3, value=value)
+        assert run.result.accept
+        assert run.opening.value == value
 
 
-def session_until_open(params, seed):
-    rng_c = random.Random(f"{seed}:c")
-    rng_v = random.Random(f"{seed}:v")
-    pair = generate(SourceConfig(n=params.n, alpha=params.alpha, seed=f"{seed}:src"))
-    value = BitString.random(params.m, random.Random(f"{seed}:val"))
-    com = Committer(params, value, rng_c)
-    ver = Verifier(params, rng_v)
-    com.transmit(pair)
-    ver.transmit(pair)
-    g = ver.choose_hash()
-    msg = com.make_commitment(g)
-    opening = com.open()
-    return com, ver, msg, opening
+def flip_overlap_beyond_tolerance(params):
+    """An opening edit that flips one more opened bit inside the overlap
+    than the distance check tolerates."""
+    def edit(opening, run):
+        overlap = run.commitment.a.intersect(run.ver.b)
+        rel = overlap.positions_within(run.commitment.a)
+        budget = floor_tol((params.delta + params.zeta) * len(overlap))
+        w = opening.w
+        for pos in rel.indices[: budget + 1]:
+            w = w.flip(pos)
+        return OpenMessage(value=opening.value, w=w)
+    return edit
 
 
 class TestRejection:
     def test_small_intersection(self):
         # replace A by a set guaranteed to overlap B in fewer than ell spots
-        com, ver, msg, opening = session_until_open(PARAMS, 7)
-        outside = [i for i in range(PARAMS.n) if i not in ver.b]
-        crafted_positions = sorted(outside[: PARAMS.k - 2] + list(ver.b.indices[:2]))
-        crafted = IndexSet(PARAMS.n, crafted_positions)
-        assert len(crafted) == PARAMS.k
-        tampered = CommitMessage(masked=msg.masked, digest=msg.digest,
-                                 a=crafted, u=msg.u)
-        ver.receive_commitment(tampered)
-        res = ver.verify(opening)
+        def cross(msg, run):
+            outside = [i for i in range(PARAMS.n) if i not in run.ver.b]
+            crafted_positions = sorted(outside[: PARAMS.k - 2] + list(run.ver.b.indices[:2]))
+            crafted = IndexSet(PARAMS.n, crafted_positions)
+            assert len(crafted) == PARAMS.k
+            return CommitMessage(masked=msg.masked, digest=msg.digest, a=crafted, u=msg.u)
+
+        res = commit_session(PARAMS, 7, edit_commitment=cross).result
         assert not res.accept and res.reason is Reason.SMALL_INTERSECTION
 
     def test_distance_exceeded(self):
         # flip enough opened bits inside the overlap to clear the tolerance
-        com, ver, msg, opening = session_until_open(NOISY, 8)
-        overlap = msg.a.intersect(ver.b)
-        rel = overlap.positions_within(msg.a)
-        budget = floor_tol((NOISY.delta + NOISY.zeta) * len(overlap))
-        w = opening.w
-        for pos in rel.indices[: budget + 1]:
-            w = w.flip(pos)
-        ver.receive_commitment(msg)
-        res = ver.verify(OpenMessage(value=opening.value, w=w))
+        res = commit_session(NOISY, 8, noisy=False,
+                             edit_opening=flip_overlap_beyond_tolerance(NOISY)).result
         assert not res.accept and res.reason is Reason.DISTANCE_EXCEEDED
 
     def test_digest_mismatch(self):
         # flip a bit outside the overlap: distance check passes, digest breaks
-        com, ver, msg, opening = session_until_open(PARAMS, 9)
-        overlap = msg.a.intersect(ver.b)
-        rel = set(overlap.positions_within(msg.a).indices)
-        outside = next(i for i in range(PARAMS.k) if i not in rel)
-        w = opening.w.flip(outside)
-        assert ver.hash(w) != msg.digest, "hash must separate this flip"
-        ver.receive_commitment(msg)
-        res = ver.verify(OpenMessage(value=opening.value, w=w))
+        def flip_outside(opening, run):
+            overlap = run.commitment.a.intersect(run.ver.b)
+            rel = set(overlap.positions_within(run.commitment.a).indices)
+            outside = next(i for i in range(PARAMS.k) if i not in rel)
+            w = opening.w.flip(outside)
+            assert run.ver.hash(w) != run.commitment.digest, "hash must separate this flip"
+            return OpenMessage(value=opening.value, w=w)
+
+        res = commit_session(PARAMS, 9, edit_opening=flip_outside).result
         assert not res.accept and res.reason is Reason.DIGEST_MISMATCH
 
     def test_value_mismatch(self):
         # claim a different value with the true W: only the last check fails
-        com, ver, msg, opening = session_until_open(PARAMS, 10)
-        ver.receive_commitment(msg)
-        res = ver.verify(OpenMessage(value=opening.value.flip(0), w=opening.w))
+        def claim_other(opening, run):
+            return OpenMessage(value=opening.value.flip(0), w=opening.w)
+
+        res = commit_session(PARAMS, 10, edit_opening=claim_other).result
         assert not res.accept and res.reason is Reason.VALUE_MISMATCH
 
     def test_malformed_shapes(self):
-        com, ver, msg, opening = session_until_open(PARAMS, 11)
-        ver.receive_commitment(msg)
-        res = ver.verify(OpenMessage(value=opening.value,
-                                     w=BitString.zeros(PARAMS.k - 1)))
+        def short_w(opening, run):
+            return OpenMessage(value=opening.value, w=BitString.zeros(PARAMS.k - 1))
+
+        res = commit_session(PARAMS, 11, edit_opening=short_w).result
         assert not res.accept and res.reason is Reason.MALFORMED_MESSAGE
 
     def test_malformed_commitment_sticks(self):
-        com, ver, msg, opening = session_until_open(PARAMS, 12)
-        bad = CommitMessage(masked=msg.masked, digest=msg.digest,
-                            a=msg.a, u=BitString.zeros(3))
-        ver.receive_commitment(bad)
-        res = ver.verify(opening)
+        def short_u(msg, run):
+            return CommitMessage(masked=msg.masked, digest=msg.digest,
+                                 a=msg.a, u=BitString.zeros(3))
+
+        res = commit_session(PARAMS, 12, edit_commitment=short_u).result
         assert not res.accept and res.reason is Reason.MALFORMED_MESSAGE
 
     def test_check_order_distance_before_digest(self):
         # a flip inside the overlap beyond tolerance also breaks the digest;
         # the distance reason must win
-        com, ver, msg, opening = session_until_open(PARAMS, 13)
-        overlap = msg.a.intersect(ver.b)
-        rel = overlap.positions_within(msg.a)
-        budget = floor_tol((PARAMS.delta + PARAMS.zeta) * len(overlap))
-        w = opening.w
-        for pos in rel.indices[: budget + 1]:
-            w = w.flip(pos)
-        assert ver.hash(w) != msg.digest
-        ver.receive_commitment(msg)
-        res = ver.verify(OpenMessage(value=opening.value, w=w))
+        flip = flip_overlap_beyond_tolerance(PARAMS)
+
+        def flip_and_check_digest(opening, run):
+            edited = flip(opening, run)
+            assert run.ver.hash(edited.w) != run.commitment.digest
+            return edited
+
+        res = commit_session(PARAMS, 13, edit_opening=flip_and_check_digest).result
         assert res.reason is Reason.DISTANCE_EXCEEDED
 
 

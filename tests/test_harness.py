@@ -9,9 +9,8 @@ from bsme.bits import BitString, IndexSet
 from bsme.codes import LinearCode
 from bsme.harness import (
     AttackReport,
-    EnumerationReport,
+    ExactReport,
     RegimeError,
-    TwoSidedReport,
     binding_attack,
     hiding_distance,
     ih_theta_attack,
@@ -35,14 +34,18 @@ class TestReports:
             with pytest.raises(ValueError, match="trial"):
                 AttackReport(name="x", trials=trials, successes=0, bound=0.0,
                              bound_formula="f")
-            with pytest.raises(ValueError, match="trial"):
-                TwoSidedReport(name="x", trials=trials, upper_violations=0,
-                               lower_violations=0, bound=0.1, bound_formula="f")
 
-    def test_enumeration_report_math(self):
-        r = EnumerationReport(name="x", distance=0.2, bound=0.1,
-                              bound_formula="f", min_entropy=1.0)
+    def test_exact_report_math(self):
+        r = ExactReport(name="x", value=0.2, bound=0.1, bound_formula="f",
+                        min_entropy=1.0)
         assert not r.passed and "pass=False" in r.line()
+        assert "min_entropy=1" in r.line()
+        assert "min_entropy" not in ExactReport("x", 0.1, 0.1, "f").line()
+        # at_least forgives float dust below the bound, and only dust
+        assert ExactReport("x", 3.0, 3.0000000000000004, "f", at_least=True).passed
+        assert not ExactReport("x", 2.9, 3.0, "f", at_least=True).passed
+        assert ExactReport("x", 3.1, 3.0, "f", at_least=True).passed
+        assert not ExactReport("x", 3.1, 3.0, "f").passed
 
 
 class TestBinding:
@@ -75,7 +78,7 @@ class TestHiding:
             stored_positions=IndexSet(12, (0, 1, 2, 3)),
             stored_value=BitString.zeros(4), digest_len=2,
         )
-        assert rep.distance == pytest.approx(0.232422, abs=1e-6)
+        assert rep.value == pytest.approx(0.232422, abs=1e-6)
         assert rep.min_entropy == pytest.approx(2.0, abs=1e-9)
         assert rep.bound == pytest.approx(0.5 * 2 ** ((1 - 2.0) / 2), abs=1e-12)
         assert rep.passed
@@ -86,7 +89,7 @@ class TestHiding:
             stored_positions=IndexSet(12, ()),
             stored_value=BitString.zeros(0), digest_len=2,
         )
-        assert rep.distance == pytest.approx(503 / 8192, abs=1e-9)
+        assert rep.value == pytest.approx(503 / 8192, abs=1e-9)
         assert rep.min_entropy == pytest.approx(4.0, abs=1e-9)
         assert rep.passed
 
@@ -98,7 +101,7 @@ class TestHiding:
             stored_value=BitString.zeros(4), digest_len=2,
             v0=v, v1=v,
         )
-        assert rep.distance == 0.0
+        assert rep.value == 0.0
 
     def test_full_storage_inversion(self):
         # the adversary keeps all six sampled bits: distance hits 1
@@ -107,7 +110,7 @@ class TestHiding:
             stored_positions=HIDE_A,
             stored_value=BitString.zeros(6), digest_len=2,
         )
-        assert rep.distance == pytest.approx(1.0)
+        assert rep.value == pytest.approx(1.0)
         assert rep.min_entropy == pytest.approx(0.0)
         assert not rep.passed
 
@@ -137,7 +140,7 @@ class TestHiding:
 class TestOffbranch:
     def test_honest_gap(self):
         rep = ot_offbranch_distance(LinearCode.repetition(3), out_len=1)
-        assert rep.distance == pytest.approx(0.25, abs=1e-12)
+        assert rep.value == pytest.approx(0.25, abs=1e-12)
         assert rep.bound == pytest.approx(0.5)
         assert rep.passed
 
@@ -146,7 +149,7 @@ class TestOffbranch:
         # doubles to the 1-bit maximum (the formal bound goes vacuous here)
         rep = ot_offbranch_distance(LinearCode.repetition(3), out_len=1,
                                     stored_all=True)
-        assert rep.distance == pytest.approx(0.5, abs=1e-12)
+        assert rep.value == pytest.approx(0.5, abs=1e-12)
         assert rep.min_entropy == pytest.approx(0.0)
         assert rep.bound > 0.5
 
@@ -173,27 +176,30 @@ class TestLemmas:
         assert rep.bound >= 2.0 * math.exp(-16 / 4.0)
 
     def test_subset_hd_two_sided(self):
-        rep = lemma_subset_hd(n=2048, r=192, delta=0.15, nu=0.1,
-                              trials=1500, seed=4)
-        assert rep.passed
-        assert rep.bound == pytest.approx(2.0 * math.exp(-192 * 0.01 / 2.0))
+        upper, lower = lemma_subset_hd(n=2048, r=192, delta=0.15, nu=0.1,
+                                       trials=1500, seed=4)
+        assert (upper.name, lower.name) == ("lemma-subset-hd-upper", "lemma-subset-hd-lower")
+        assert upper.trials == lower.trials == 1500
+        assert upper.passed and lower.passed
+        assert upper.bound == lower.bound == pytest.approx(2.0 * math.exp(-192 * 0.01 / 2.0))
 
     def test_binom_exhaustive(self):
-        ok, worst = lemma_binom_bound(24)
-        assert ok
-        assert worst == pytest.approx(0.519928, abs=1e-6)
-        assert worst <= 1.0
+        rep = lemma_binom_bound(24)
+        assert rep.passed and rep.bound == 1.0
+        assert rep.value == pytest.approx(0.519928, abs=1e-6)
 
     def test_entropy_hd(self):
-        h_min, lower = lemma_entropy_hd(8, 0.75, 0.125)
-        assert h_min == pytest.approx(3.19265, abs=1e-4)
-        assert lower == pytest.approx(1.65148, abs=1e-4)
-        assert h_min >= lower
+        rep = lemma_entropy_hd(8, 0.75, 0.125)
+        assert rep.value == pytest.approx(3.19265, abs=1e-4)
+        assert rep.bound == pytest.approx(1.65148, abs=1e-4)
+        assert rep.at_least and rep.passed
 
     def test_entropy_support_ignores_float_dust(self):
-        # 3 * 0.1 * 10 == 3.0000000000000004: three support bits, not four
-        h_min, _ = lemma_entropy_hd(10, 3 * 0.1, 0.0)
-        assert h_min == pytest.approx(3.0)
+        # 3 * 0.1 * 10 == 3.0000000000000004: three support bits, not four,
+        # and the bound that holds with equality passes
+        rep = lemma_entropy_hd(10, 3 * 0.1, 0.0)
+        assert rep.value == pytest.approx(3.0)
+        assert rep.passed
 
     def test_entropy_regime(self):
         with pytest.raises(RegimeError):

@@ -137,8 +137,22 @@ class TestFeasibility:
         mid = zyablov_delta(0.5)
         assert 0.0 < mid < inv_binary_entropy(0.5) / 2.0
         assert zyablov_delta(0.1) > mid > zyablov_delta(0.9)
+        # rates past 0.999 still have a small positive maximum
+        assert 0.0 < zyablov_delta(0.9995) < zyablov_delta(0.99)
         with pytest.raises(ValueError):
             zyablov_delta(0.0)
+
+    @pytest.mark.parametrize("rate", [0.01, 0.1, 0.37, 0.5, 0.8, 0.99])
+    def test_zyablov_matches_dense_grid(self, rate):
+        # the search finds the objective's maximum over (rate, 1), which a
+        # 5,000-point grid approaches from below
+        def value(r):
+            return (1.0 - r) * inv_binary_entropy(1.0 - rate / r) / 2.0
+
+        grid = max(value(rate + (1.0 - rate) * i / 5_000) for i in range(1, 5_000))
+        got = zyablov_delta(rate)
+        assert grid <= got + 1e-15
+        assert got == pytest.approx(grid, rel=1e-5, abs=1e-12)
 
     @given(st.integers(1, 400), st.integers(1, 40))
     def test_subset_size_even_floor(self, n, ell):
@@ -297,12 +311,6 @@ class TestDeriveOT:
                              m_f=0.45)
         assert info.value.requirement == "k_F > 0"
 
-    def test_zeta_ih_band(self):
-        with pytest.raises(ParameterError) as info:
-            derive_ot_params(n=4096, ell=14, code=LinearCode.hamming_7_4(),
-                             zeta_ih=1.0)
-        assert info.value.requirement == "0 < zeta_ih < 1"
-
     @pytest.mark.parametrize("eps_hat", [0.0, 1.0])
     def test_requirement_eps_hat_band(self, eps_hat):
         with pytest.raises(ParameterError) as info:
@@ -326,7 +334,7 @@ class TestDeriveOT:
                              delta=0.0, xi=0.01)
 
     @pytest.mark.parametrize(
-        "name", ["alpha", "gamma", "delta", "xi", "zeta_ih", "tau", "m_f", "eps_hat"])
+        "name", ["alpha", "gamma", "delta", "xi", "tau", "m_f", "eps_hat"])
     def test_nan_refused(self, name):
         with pytest.raises(ParameterError):
             derive_ot_params(n=4096, ell=14, code=LinearCode.hamming_7_4(),

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _sessions import ot_session
+
 from bsme.app import framing, runner
 from bsme.bits import BitString, IndexSet
 from bsme.codes import LinearCode
@@ -20,40 +22,16 @@ CLEAN = derive_ot_params(n=1024, ell=8, code=LinearCode.trivial(1),
                          delta=0.0, xi=0.0)
 
 
-def run_session(params, seed, choice, secrets=None, noisy=True):
-    rng_s = random.Random(f"{seed}:s")
-    rng_r = random.Random(f"{seed}:r")
-    pair = generate(SourceConfig(n=params.n, alpha=params.alpha,
-                                 delta=params.delta if noisy else 0.0,
-                                 seed=f"{seed}:src"))
-    if secrets is None:
-        rng_i = random.Random(f"{seed}:i")
-        secrets = (BitString.random(params.payload_len, rng_i),
-                   BitString.random(params.payload_len, rng_i))
-    sender = OTSender(params, secrets[0], secrets[1], rng_s)
-    receiver = OTReceiver(params, choice, rng_r)
-    sender.transmit(pair)
-    receiver.transmit(pair)
-    receiver.receive_positions(sender.begin_setup())
-    while not sender.querier.finished:
-        sender.take_response(receiver.respond(sender.next_query()))
-    sender.finish_setup()
-    e = receiver.finish_setup()
-    payload = sender.transfer(e)
-    got = receiver.receive_payload(payload)
-    return got, secrets, sender, receiver, payload
-
-
 class TestHonest:
     @pytest.mark.parametrize("choice", [0, 1])
     def test_receiver_gets_chosen_secret(self, choice):
         hits = 0
         for seed in range(12):
             try:
-                got, secrets, _, _, _ = run_session(PARAMS, seed, choice)
+                run = ot_session(PARAMS, seed, choice)
             except SetupAbort:
                 continue
-            if got == secrets[choice]:
+            if run.output == run.secrets[choice]:
                 hits += 1
         assert hits >= 10
 
@@ -64,23 +42,24 @@ class TestHonest:
         assert len(queries) == PARAMS.m - 1
 
     def test_noise_free_code(self):
-        got, secrets, _, _, _ = run_session(CLEAN, 5, 1, noisy=False)
-        assert got == secrets[1]
+        run = ot_session(CLEAN, 5, 1, noisy=False)
+        assert run.output == run.secrets[1]
 
     def test_same_seed_choices_differ_only_in_routing(self):
         # both runs share every coin; only e and hence the z pairing move
-        got0, secrets, _, r0, pay0 = run_session(PARAMS, 9, 0)
-        got1, secrets1, _, r1, pay1 = run_session(PARAMS, 9, 1)
-        assert secrets == secrets1
-        assert got0 == secrets[0] and got1 == secrets[1]
-        assert r0._d == r1._d
+        run0, run1 = ot_session(PARAMS, 9, 0), ot_session(PARAMS, 9, 1)
+        secrets, pay0, pay1 = run0.secrets, run0.payload, run1.payload
+        assert secrets == run1.secrets
+        assert run0.output == secrets[0] and run1.output == secrets[1]
+        assert run0.receiver._d == run1.receiver._d
         # same pads and seeds on each branch, secrets swapped between them
         assert (pay0.r0, pay0.p0, pay0.r1, pay0.p1) == (pay1.r0, pay1.p0, pay1.r1, pay1.p1)
         assert pay0.z0 ^ pay1.z0 == secrets[0] ^ secrets[1]
         assert pay0.z1 ^ pay1.z1 == secrets[0] ^ secrets[1]
 
     def test_candidate_subsets_cover_receiver_choice(self):
-        got, _, sender, receiver, _ = run_session(PARAMS, 11, 0)
+        run = ot_session(PARAMS, 11, 0)
+        sender, receiver = run.sender, run.receiver
         a = sender.a
         cands = tuple(IndexSet(a.ground, [a.indices[j] for j in c]) for c in sender._c_rel)
         assert receiver.c_abs in cands
@@ -131,9 +110,9 @@ class TestAborts:
             assert info.value.reason is Reason.INVALID_ENCODING
 
     def test_malformed_payload(self):
-        got, secrets, sender, receiver, payload = run_session(PARAMS, 23, 0)
         # rebuild a fresh receiver mid-protocol to re-feed a bad payload
-        _, _, _, receiver2, payload2 = run_session(PARAMS, 24, 0)
+        run = ot_session(PARAMS, 24, 0)
+        receiver2, payload2 = run.receiver, run.payload
         receiver2._phase = "setup-done"
         bad = TransferPayload(
             z0=BitString.zeros(PARAMS.payload_len + 1), r0=payload2.r0, p0=payload2.p0,
@@ -147,10 +126,11 @@ class TestAborts:
         # radius-0 blocks: any single flip in a block is a detected failure
         params = derive_ot_params(n=1024, ell=16, code=LinearCode.repetition(2),
                                   delta=0.0, xi=0.0)
-        got, secrets, sender, receiver, payload = run_session(params, 31, 0, noisy=False)
-        assert got == secrets[0]
+        run = ot_session(params, 31, 0, noisy=False)
+        assert run.output == run.secrets[0]
 
-        _, _, _, receiver2, payload2 = run_session(params, 31, 0, noisy=False)
+        run2 = ot_session(params, 31, 0, noisy=False)
+        receiver2, payload2 = run2.receiver, run2.payload
         receiver2._phase = "setup-done"
         c_in_b = receiver2.c_abs.positions_within(receiver2.b)
         receiver2._xt_b = receiver2._xt_b.flip(c_in_b.indices[0])
@@ -169,7 +149,7 @@ class TestValidation:
             OTReceiver(PARAMS, 2, random.Random(0))
 
     def test_transfer_e_is_bit(self):
-        got, _, sender, _, _ = run_session(PARAMS, 41, 0)
+        sender = ot_session(PARAMS, 41, 0).sender
         sender._phase = "setup-done"
         with pytest.raises(ValueError):
             sender.transfer(2)
