@@ -1,5 +1,9 @@
 """Command line front end.
 
+``bsme commit @session.args --seed 7`` reads flags from an argument file:
+flags separated by whitespace, ``#`` to the end of a line a comment; a flag
+after the file overrides it.
+
 Exit codes: 0 on success or acceptance; 1 when a session ends in reject or
 abort; 2 on usage errors, including parameters that ``derive_commit_params``
 or ``derive_ot_params`` refuse; 3 when ``feasibility`` finds the point
@@ -27,7 +31,6 @@ from ..harness import (
     ot_offbranch_distance,
 )
 from ..infomath import (
-    EPS_PRIME,
     ParameterError,
     check_code_fit,
     commit_delta_threshold,
@@ -48,7 +51,6 @@ EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
 
-_BOOL_KEYS = {"json"}
 # In the order `--code auto` tries them.
 _CODES = {
     "hamming": LinearCode.hamming_7_4,
@@ -66,55 +68,6 @@ _ATTACKS = {
     "offbranch": lambda args: ot_offbranch_distance(LinearCode.repetition(3), out_len=1),
     "theta": lambda args: ih_theta_attack(m=12, t=6, trials=args.trials, seed=args.seed),
 }
-
-
-def _load_config(path: str) -> dict:
-    values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            val = val.strip()
-            if key in _BOOL_KEYS:
-                if val.lower() in ("1", "true", "yes", "on"):
-                    values[key] = True
-                elif val.lower() in ("0", "false", "no", "off"):
-                    values[key] = False
-                else:
-                    raise ValueError(f"{path}:{lineno}: {key} wants a boolean")
-            else:
-                values[key] = val
-    return values
-
-
-def _apply_config(sub: argparse.ArgumentParser, config: dict) -> None:
-    known = {a.dest for a in sub._actions}
-    sub.set_defaults(**{k: v for k, v in config.items() if k in known})
-
-
-class _SubcommandParser(argparse.ArgumentParser):
-    """Holds ``--config`` defaults to their flags' ``choices``.
-
-    argparse passes a string default through the flag's ``type`` but never
-    checks it against ``choices``, while a value given as a flag has passed
-    both, so a value left outside ``choices`` came from the file.
-    """
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        for action in self._actions:
-            value = getattr(namespace, action.dest, None)
-            if action.choices is not None and value is not None and value not in action.choices:
-                raise ValueError(
-                    f"--config sets {action.dest}={value!r}; "
-                    f"choose from {', '.join(map(str, action.choices))}"
-                )
-        return namespace, extras
 
 
 def _bits_arg(text: str) -> BitString:
@@ -144,27 +97,27 @@ def _add_rates(sub: argparse.ArgumentParser, gamma_default: float) -> None:
 def _add_transport(sub: argparse.ArgumentParser, roles: tuple[str, str]) -> None:
     sub.add_argument("--transport", choices=("memory", "socket"), default="memory",
                      help="in-process pipe or in-process socket pair")
-    sub.add_argument("--listen", type=_addr, metavar="HOST:PORT",
-                     help="run one party, accepting a TCP peer")
-    sub.add_argument("--connect", type=_addr, metavar="HOST:PORT",
-                     help="run one party, dialing a TCP peer")
+    address = sub.add_mutually_exclusive_group()
+    address.add_argument("--listen", type=_addr, metavar="HOST:PORT",
+                         help="run one party, accepting a TCP peer")
+    address.add_argument("--connect", type=_addr, metavar="HOST:PORT",
+                         help="run one party, dialing a TCP peer")
     sub.add_argument("--role", choices=roles,
                      help="which party to run with --listen/--connect")
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    config = config or {}
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bsme",
         description="Commitment and oblivious transfer from a noisy public broadcast "
         "against storage-bounded adversaries.",
+        fromfile_prefix_chars="@",
     )
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=_SubcommandParser)
+    parser.convert_arg_line_to_args = lambda line: line.partition("#")[0].split()
+    subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("feasibility", help="report achievable regimes for given rates")
     _add_rates(p, gamma_default=0.25)
-    p.add_argument("--eps-prime", type=float, default=EPS_PRIME)
     p.set_defaults(func=cmd_feasibility)
 
     p = subs.add_parser("commit", help="run a commitment session")
@@ -208,15 +161,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         if name != "feasibility":  # the one command that draws no randomness
             p.add_argument("--seed", type=int, default=0, help="session seed")
         p.add_argument("--json", action="store_true", help="emit one JSON object")
-        p.add_argument("--config", help="key=value defaults file; flags win")
-        _apply_config(p, config)
-
-    # A key that some other subcommand defines is fine (one file can serve
-    # several); a key that none defines is a typo.
-    known = {a.dest for sub in subs.choices.values() for a in sub._actions}
-    unknown = sorted(set(config) - known)
-    if unknown:
-        raise ValueError(f"--config sets unknown key(s): {', '.join(unknown)}")
     return parser
 
 
@@ -233,7 +177,7 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 
 def cmd_feasibility(args) -> int:
-    s = rho(args.alpha, args.gamma, args.eps_prime, args.n)
+    s = rho(args.alpha, args.gamma, args.n)
     commit_f = commit_feasible(s, args.delta)
     ot_f = ot_feasible_gv(s, args.delta)
     commit_thr, ot_thr = commit_delta_threshold(s), ot_gv_delta_threshold(s)
@@ -275,7 +219,7 @@ def cmd_commit(args) -> int:
         n=args.n, ell=args.ell, alpha=args.alpha, gamma=args.gamma,
         delta=args.delta, zeta=args.zeta, tau=args.tau, omega=args.omega,
     )
-    if args.listen or args.connect:
+    if args.role or args.listen or args.connect:
         return _network_party(args, "commit", params)
     outcome = run_commit_session(
         params, value=args.value, seed=args.seed, transport=args.transport
@@ -324,7 +268,7 @@ def cmd_ot(args) -> int:
         raise ValueError("pass both --s0 and --s1 or neither")
     if args.s0 is not None:
         secrets = (args.s0, args.s1)
-    if args.listen or args.connect:
+    if args.role or args.listen or args.connect:
         return _network_party(args, "ot", params, secrets)
     outcome = run_ot_session(
         params, choice=args.choice, secrets=secrets, seed=args.seed,
@@ -351,12 +295,10 @@ def cmd_ot(args) -> int:
 
 
 def _network_party(args, protocol: str, params, secrets=None) -> int:
-    if args.role is None:
-        raise ValueError("--listen/--connect need --role")
-    if args.listen and args.connect:
-        raise ValueError("pass --listen or --connect, not both")
-    host, port = args.listen or args.connect
-    chan = (listen_channel if args.listen else connect_channel)(host, port)
+    address = args.listen or args.connect
+    if args.role is None or address is None:
+        raise ValueError("--role needs --listen or --connect, and they need --role")
+    chan = (listen_channel if args.listen else connect_channel)(*address)
     try:
         if protocol == "commit":
             out = commit_party(args.role, chan, params, args.seed, value=args.value)
@@ -430,18 +372,8 @@ def cmd_selftest(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    config: dict = {}
+    args = build_parser().parse_args(argv)
     try:
-        for i, tok in enumerate(argv):
-            if tok == "--config" and i + 1 < len(argv):
-                config = _load_config(argv[i + 1])
-                break
-            if tok.startswith("--config="):
-                config = _load_config(tok.split("=", 1)[1])
-                break
-        parser = build_parser(config)
-        args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         # ParameterError is a ValueError and already names its requirement.

@@ -155,18 +155,16 @@ def cond_min_entropy(joint: Distribution) -> float:
     return min(-math.log2(best / total) for total, best in by_y.values())
 
 
-def rho(alpha: float, gamma: float, eps_prime: float, n: int) -> float:
+def rho(alpha: float, gamma: float, n: int) -> float:
     """Residual min-entropy rate after gamma*n stored bits and smoothing.
 
-    rho = alpha - gamma - (1 + log2(1/eps_prime)) / n
+    rho = alpha - gamma - (1 + log2(1/EPS_PRIME)) / n
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if not 0.0 < eps_prime < 1.0:
-        raise ValueError("eps_prime must lie in (0, 1)")
     if not 0.0 <= gamma < alpha <= 1.0:
         raise ValueError("need 0 <= gamma < alpha <= 1")
-    return alpha - gamma - (1.0 + math.log2(1.0 / eps_prime)) / n
+    return alpha - gamma - (1.0 + math.log2(1.0 / EPS_PRIME)) / n
 
 
 @dataclass(frozen=True)
@@ -279,7 +277,7 @@ def _sample_and_rate(n: int, ell: int, alpha: float, gamma: float) -> tuple[int,
         raise ParameterError("k <= n", f"k={k}, n={n}")
     if not 0.0 <= gamma < alpha <= 1.0:
         raise ParameterError("0 <= gamma < alpha <= 1")
-    r = rho(alpha, gamma, EPS_PRIME, n)
+    r = rho(alpha, gamma, n)
     if not r > 0.0:
         raise ParameterError("rho > 0", f"rho={r:.6f}")
     return k, r

@@ -71,11 +71,14 @@ class OTRun:
     output: BitString | None
 
 
-def ot_session(params, seed, choice=None, secrets=None, noisy=True) -> OTRun:
+def ot_session(params, seed, choice=None, secrets=None, noisy=True,
+               before_hashing=None) -> OTRun:
     """One transfer session; a ``SetupAbort`` propagates.
 
     Secrets left out are drawn from ``{seed}:i``, and a choice left out is
-    drawn from the same stream after them.
+    drawn from the same stream after them.  ``before_hashing(sender,
+    receiver)`` runs after the receiver has taken the positions and before
+    the first query.
     """
     pair = _broadcast(params, seed, noisy)
     rng_i = random.Random(f"{seed}:i")
@@ -89,6 +92,8 @@ def ot_session(params, seed, choice=None, secrets=None, noisy=True) -> OTRun:
     sender.transmit(pair)
     receiver.transmit(pair)
     receiver.receive_positions(sender.begin_setup())
+    if before_hashing is not None:
+        before_hashing(sender, receiver)
     while not sender.querier.finished:
         sender.take_response(receiver.respond(sender.next_query()))
     sender.finish_setup()

@@ -712,14 +712,16 @@ class TestCLI:
         assert doc["accepted"] is True
 
     def test_config_file_defaults_and_override(self, tmp_path, capsys):
-        cfg = tmp_path / "session.cfg"
-        cfg.write_text("# session defaults\nn = 512\nell = 8\nseed = 6\njson = true\n")
+        # an argument file: flags split on whitespace, `#` comments, blank lines
+        cfg = tmp_path / "session.args"
+        cfg.write_text("# session defaults\n\n--n 512 --ell 8\n--seed=6  # inline\n--json\n")
         import json
-        assert cli.main(["commit", "--config", str(cfg)]) == cli.EXIT_OK
+        assert cli.main(["commit", f"@{cfg}"]) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is True
-        # explicit flag beats the file: seed 7 must reproduce a plain seed-7 run
-        assert cli.main(["commit", "--config", str(cfg), "--seed", "7"]) == cli.EXIT_OK
+        assert doc["params"]["n"] == 512
+        # a flag after the file wins: seed 7 must reproduce a plain seed-7 run
+        assert cli.main(["commit", f"@{cfg}", "--seed", "7"]) == cli.EXIT_OK
         doc2 = json.loads(capsys.readouterr().out)
         assert cli.main(["commit", "--n", "512", "--ell", "8", "--seed", "7",
                          "--json"]) == cli.EXIT_OK
@@ -727,48 +729,68 @@ class TestCLI:
         assert doc2["value"] == direct["value"]
         assert doc2["value"] != doc["value"]
 
-    def test_config_unknown_key_exits_usage(self, tmp_path, capsys):
-        # a misspelt key fails loudly instead of running at the default
-        cfg = tmp_path / "typo.cfg"
-        cfg.write_text("n = 512\nell = 8\ngama = 0.5\n")
-        assert cli.main(["commit", "--config", str(cfg)]) == cli.EXIT_USAGE
+    @pytest.mark.parametrize("line, offending", [
+        ("--gama 0.5", "--gama"),  # misspelt
+        ("--trials 5", "--trials"),  # another subcommand's flag
+        ("n 512", "n 512"),  # not a flag
+    ], ids=["misspelt", "other-subcommand", "not-a-flag"])
+    def test_argument_file_refusals(self, tmp_path, capsys, line, offending):
+        cfg = tmp_path / "bad.args"
+        cfg.write_text(f"--n 512 --ell 8\n{line}\n")
+        with pytest.raises(SystemExit) as info:
+            cli.main(["commit", f"@{cfg}"])
+        assert info.value.code == cli.EXIT_USAGE
         captured = capsys.readouterr()
-        assert "gama" in captured.err
+        assert offending in captured.err
         assert captured.out == ""
-
-    def test_config_key_of_another_subcommand_accepted(self, tmp_path, capsys):
-        # `trials` belongs to attack and lemmas; commit ignores it
-        cfg = tmp_path / "shared.cfg"
-        cfg.write_text("n = 512\nell = 8\nseed = 3\ntrials = 5\n")
-        assert cli.main(["commit", "--config", str(cfg)]) == cli.EXIT_OK
-        assert "accept" in capsys.readouterr().out
 
     def test_config_file_errors_exit_usage(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("n 512\n")
-        assert cli.main(["commit", "--config", str(bad)]) == cli.EXIT_USAGE
-        assert cli.main(["commit", f"--config={tmp_path / 'missing.cfg'}"]) == cli.EXIT_USAGE
+        # a file that cannot be read: missing, or a directory
+        for path in (tmp_path / "missing.args", tmp_path):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["commit", f"@{path}"])
+            assert info.value.code == cli.EXIT_USAGE
+            captured = capsys.readouterr()
+            assert str(path) in captured.err
+            assert captured.out == ""
 
-    def test_config_which_outside_choices_exits_usage(self, tmp_path, capsys):
-        # argparse never checks a default against choices; an unchecked
-        # `which` would run no attack at all and report a pass
-        cfg = tmp_path / "attack.cfg"
-        cfg.write_text("which = bogus\ntrials = 5\n")
-        assert cli.main(["attack", "--config", str(cfg), "--json"]) == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert "which" in captured.err and "bogus" in captured.err
-        assert captured.out == ""
+    @pytest.mark.parametrize("argv, value", [
+        # an unchecked `which` would run no attack at all and report a pass
+        (["attack", "--which", "bogus", "--trials", "5", "--json"], "bogus"),
+        (["ot", "--code", "bogus"], "bogus"),
+    ], ids=["which", "code"])
+    def test_value_outside_choices_exits_usage(self, tmp_path, capsys, argv, value):
+        # refused on the command line and from a file alike
+        cfg = tmp_path / "choices.args"
+        cfg.write_text(" ".join(argv[1:]))
+        for args in (argv, [argv[0], f"@{cfg}"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(args)
+            assert info.value.code == cli.EXIT_USAGE
+            captured = capsys.readouterr()
+            assert argv[1] in captured.err and value in captured.err
+            assert captured.out == ""
 
-    def test_config_code_outside_choices_exits_usage(self, tmp_path, capsys):
-        cfg = tmp_path / "ot.cfg"
-        cfg.write_text("code = bogus\n")
-        assert cli.main(["ot", "--config", str(cfg)]) == cli.EXIT_USAGE
+    @pytest.mark.parametrize("argv", [
+        ["commit", "--n", "512", "--ell", "8", "--role", "verifier"],
+        ["ot", "--role", "receiver"],
+        ["ot", "--listen", "127.0.0.1:9", "--connect", "127.0.0.1:9", "--role", "sender"],
+        ["commit", "--n", "512", "--ell", "8", "--connect", "127.0.0.1:9"],
+    ], ids=["commit-role-alone", "ot-role-alone", "both-addresses", "address-alone"])
+    def test_network_flags_go_together(self, monkeypatch, capsys, argv):
+        def no_socket(*args):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(cli, "listen_channel", no_socket)
+        monkeypatch.setattr(cli, "connect_channel", no_socket)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        assert code == cli.EXIT_USAGE
         captured = capsys.readouterr()
-        assert "code" in captured.err and "bogus" in captured.err
+        assert "--listen" in captured.err
         assert captured.out == ""
-        # a flag still overrides the file's value
-        assert cli.main(["ot", "--config", str(cfg), "--code", "hamming", "--n", "1024",
-                         "--ell", "14"]) == cli.EXIT_OK
 
     def test_nan_rate_exits_usage(self, capsys):
         # NaN fails every comparison, so each check must be written to fail it

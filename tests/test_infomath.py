@@ -93,18 +93,16 @@ class TestDistributions:
 
 class TestFeasibility:
     def test_rho_pinned(self):
-        assert rho(1.0, 0.25, 2.0**-32, 4096) == 0.741943359375
+        assert rho(1.0, 0.25, 4096) == 0.741943359375
 
     def test_rho_formula(self):
-        assert rho(0.9, 0.1, 0.5, 100) == pytest.approx(0.8 - 2.0 / 100)
+        assert rho(0.9, 0.1, 100) == pytest.approx(0.8 - 33 / 100)
 
     def test_rho_validation(self):
         with pytest.raises(ValueError):
-            rho(0.5, 0.5, 0.5, 100)
+            rho(0.5, 0.5, 100)
         with pytest.raises(ValueError):
-            rho(1.0, 0.0, 1.5, 100)
-        with pytest.raises(ValueError):
-            rho(1.0, 0.0, 0.5, 0)
+            rho(1.0, 0.0, 0)
 
     def test_commit_margin_pinned(self):
         f = commit_feasible(0.75, 0.05)

@@ -93,21 +93,19 @@ class TestAborts:
 
     def test_invalid_encoding_from_swapped_respondent(self):
         # a receiver whose IH input lies in the rejected tail of the dense encoding
-        pair = generate(SourceConfig(n=PARAMS.n, alpha=PARAMS.alpha, delta=PARAMS.delta,
-                                     seed="21:src"))
+        receivers = []
+
+        def swap_respondent(sender, receiver):
+            receiver.respondent = Respondent(BitString(PARAMS.m, (1 << PARAMS.m) - 1))
+            receivers.append(receiver)
+
         secrets = (BitString.zeros(PARAMS.payload_len),) * 2
-        sender = OTSender(PARAMS, *secrets, random.Random("21:s"))
-        receiver = OTReceiver(PARAMS, 0, random.Random("21:r"))
-        sender.transmit(pair)
-        receiver.transmit(pair)
-        receiver.receive_positions(sender.begin_setup())
-        receiver.respondent = Respondent(BitString(PARAMS.m, (1 << PARAMS.m) - 1))
-        while not sender.querier.finished:
-            sender.take_response(receiver.respond(sender.next_query()))
-        for party in (sender, receiver):
-            with pytest.raises(SetupAbort) as info:
-                party.finish_setup()
-            assert info.value.reason is Reason.INVALID_ENCODING
+        with pytest.raises(SetupAbort) as info:
+            ot_session(PARAMS, 21, 0, secrets, before_hashing=swap_respondent)
+        assert info.value.reason is Reason.INVALID_ENCODING
+        with pytest.raises(SetupAbort) as info:
+            receivers[0].finish_setup()
+        assert info.value.reason is Reason.INVALID_ENCODING
 
     def test_malformed_payload(self):
         # rebuild a fresh receiver mid-protocol to re-feed a bad payload
