@@ -112,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Commitment and oblivious transfer from a noisy public broadcast "
         "against storage-bounded adversaries.",
         fromfile_prefix_chars="@",
+        allow_abbrev=False,
     )
     parser.convert_arg_line_to_args = lambda line: line.partition("#")[0].split()
     subs = parser.add_subparsers(dest="command", required=True)
@@ -158,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selftest)
 
     for name, p in subs.choices.items():
+        p.allow_abbrev = False  # a prefix of a flag is refused, not taken for it
         if name != "feasibility":  # the one command that draws no randomness
             p.add_argument("--seed", type=int, default=0, help="session seed")
         p.add_argument("--json", action="store_true", help="emit one JSON object")

@@ -18,9 +18,9 @@ from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Sequence
 
 from ..bits import BitString, IndexSet
-from ..commit import CommitMessage, OpenMessage
-from ..ot import TransferPayload
-from ..reasons import Reason
+from ..commit import CommitMessage, HashDesc, OpenMessage
+from ..ot import EBit, IHQuery, IHResponse, SetA, TransferPayload
+from ..reasons import Reason, ResultMsg
 
 __all__ = [
     "FrameError",
@@ -47,47 +47,8 @@ class FrameError(ValueError):
 
 
 @dataclass(frozen=True)
-class HashDesc:
-    """Verifier's hash choice, carried as the Toeplitz diagonal."""
-
-    diag: BitString
-
-
-@dataclass(frozen=True)
-class SetA:
-    """Sample-position announcement, carried as a ground-set mask."""
-
-    positions: IndexSet
-
-
-@dataclass(frozen=True)
-class EBit:
-    e: int
-
-
-@dataclass(frozen=True)
-class IHQuery:
-    q: BitString
-
-
-@dataclass(frozen=True)
-class IHResponse:
-    bit: int
-
-
-@dataclass(frozen=True)
 class AbortMsg:
     reason: Reason
-
-
-@dataclass(frozen=True)
-class ResultMsg:
-    """Session outcome report.  `value` is the accepted commitment value;
-    transfer sessions leave it empty so the wire never reveals the output."""
-
-    ok: bool
-    reason: Reason
-    value: BitString
 
 
 def _flag_out(v: int) -> BitString:

@@ -9,12 +9,15 @@ s1.  Two runs with the same seed therefore produce byte-identical transcripts
 on either transport, and the two halves of a cross-host session regenerate
 the same broadcast and the same default inputs locally.
 
-Each party's message order is written once, as straight-line code.  A frame
-that does not parse, a frame of the wrong type, a peer's abort, or a check of
-the party's own that refuses the peer's data (a `SetupAbort` carrying its
-reason) ends the party in one place, ``_play``: it sends the party's closing
-frame (if any), reads until the peer closes, and reports the reason.  Any
-other exception is a bug and propagates to the caller.
+Each party's message order lives in its ``play`` generator; ``_play`` carries
+any of them over a channel, framing what the party yields and reading what
+it waits for.  A frame that does not parse, or is of the wrong type, is
+thrown into the party as a `SetupAbort`, so it ends like a check of the
+party's own that refuses the peer's data: in one place, which sends the
+closing frame (the party's failed result if the abort is marked
+``reported``, else an abort), reads until the peer closes, and reports the
+reason.  A peer's abort ends the party without a reply.  Any other exception
+is a bug and propagates to the caller.
 """
 
 from __future__ import annotations
@@ -24,24 +27,13 @@ import threading
 from dataclasses import dataclass
 
 from ..bits import BitString
-from ..commit import CommitMessage, Committer, OpenMessage, Verifier
+from ..commit import Committer, Verifier
 from ..infomath import CommitParams, OTParams
-from ..ot import OTReceiver, OTSender, TransferPayload
-from ..reasons import Reason, SetupAbort
+from ..ot import OTReceiver, OTSender
+from ..reasons import Reason, ResultMsg, SetupAbort
 from ..source import SourceConfig, SourcePair, generate
 from .channel import ChannelClosed, memory_pair, socketpair_channels
-from .framing import (
-    AbortMsg,
-    EBit,
-    FrameError,
-    HashDesc,
-    IHQuery,
-    IHResponse,
-    ResultMsg,
-    SetA,
-    decode_message,
-    encode_message,
-)
+from .framing import AbortMsg, FrameError, decode_message, encode_message
 
 __all__ = [
     "CommitOutcome",
@@ -92,113 +84,43 @@ class OTOutcome:
 
 
 # --------------------------------------------------------------------------
-# reading, sending and aborting
+# carrying one party's play over a channel
 
 
-class _Abort(Exception):
-    """Ends a party early with `reason`, sending `reply` first unless None."""
-
-    def __init__(self, reason: Reason, reply: object | None):
-        super().__init__(reason.label)
-        self.reason = reason
-        self.reply = reply
-
-
-def _closing(ok: bool, reason: Reason) -> ResultMsg:
-    return ResultMsg(ok, reason, BitString.zeros(0))
-
-
-_MALFORMED = AbortMsg(Reason.MALFORMED_MESSAGE)
-
-
-def _send(chan, msg) -> None:
-    chan.send(encode_message(msg))
-
-
-def _expect(chan, cls, reply: object = _MALFORMED):
-    """The peer's next message, which must be a `cls`; anything else aborts."""
+def _play(chan, party, pair: SourcePair, failed: dict) -> dict:
+    """Carry `party.play(pair)` over `chan`; on a refusal, report the failed result."""
+    game = party.play(pair)
     try:
-        msg = decode_message(chan.recv())
-    except FrameError:
-        raise _Abort(Reason.MALFORMED_MESSAGE, reply) from None
-    if isinstance(msg, AbortMsg):
-        raise _Abort(msg.reason, None)
-    if not isinstance(msg, cls):
-        raise _Abort(Reason.MALFORMED_MESSAGE, reply)
-    return msg
-
-
-def _play(chan, party, pair: SourcePair, steps, failed: dict) -> dict:
-    """Run one party's message order; on an abort, report the failed result."""
-    party.transmit(pair)
-    try:
-        return steps(chan, party)
-    except _Abort as abort:
-        reason, reply = abort.reason, abort.reply
+        step = next(game)
+        while True:
+            if not isinstance(step, type):
+                chan.send(encode_message(step))
+                step = next(game)
+                continue
+            try:
+                msg = decode_message(chan.recv())
+            except FrameError:
+                msg = None
+            if isinstance(msg, AbortMsg):
+                return dict(failed, reason=msg.reason)
+            if isinstance(msg, step):
+                step = game.send(msg)
+            else:
+                step = game.throw(SetupAbort(Reason.MALFORMED_MESSAGE))
+    except StopIteration as done:
+        return done.value
     except SetupAbort as abort:
-        reason, reply = abort.reason, AbortMsg(abort.reason)
-    if reply is not None:
-        _send(chan, reply)
-        # The peer may still have frames in flight; read until it sees the
-        # reply and closes, so our close does not reset its last send.
-        try:
-            while True:
-                chan.recv()
-        except (ConnectionError, FrameError):
-            pass
-    return dict(failed, reason=reason)
-
-
-# --------------------------------------------------------------------------
-# message order of each role
-
-
-def _committer(chan, party: Committer) -> dict:
-    _send(chan, party.make_commitment(_expect(chan, HashDesc).diag))
-    _send(chan, party.open())
-    result = _expect(chan, ResultMsg)
-    opened = result.value if result.ok else None
-    return {"accepted": result.ok, "reason": result.reason, "opened": opened}
-
-
-def _verifier(chan, party: Verifier) -> dict:
-    _send(chan, HashDesc(party.choose_hash()))
-    reject = _closing(False, Reason.MALFORMED_MESSAGE)
-    party.receive_commitment(_expect(chan, CommitMessage, reject))
-    opening = _expect(chan, OpenMessage, reject)
-    res = party.verify(opening)
-    opened = opening.value if res.accept else None
-    _send(chan, ResultMsg(res.accept, res.reason, opened or BitString.zeros(0)))
-    return {"accepted": res.accept, "reason": res.reason, "opened": opened}
-
-
-def _sender(chan, party: OTSender) -> dict:
-    _send(chan, SetA(party.begin_setup()))
-    while not party.querier.finished:
-        _send(chan, IHQuery(party.next_query()))
-        party.take_response(_expect(chan, IHResponse).bit)
-    e = _expect(chan, EBit).e
-    party.finish_setup()
-    _send(chan, party.transfer(e))
-    result = _expect(chan, ResultMsg)  # ok: the payload was accepted in shape
-    return {"completed": result.ok, "reason": result.reason}
-
-
-def _receiver(chan, party: OTReceiver) -> dict:
-    party.receive_positions(_expect(chan, SetA).positions)
-    for _ in range(party.params.m - 1):
-        _send(chan, IHResponse(party.respond(_expect(chan, IHQuery).q)))
-    _send(chan, EBit(party.finish_setup()))
-    payload = _expect(chan, TransferPayload)
+        reason = abort.reason
+        failure = ResultMsg(False, reason, BitString.zeros(0))
+        chan.send(encode_message(failure if abort.reported else AbortMsg(reason)))
+    # The peer may still have frames in flight; read until it sees the
+    # closing frame and closes, so our close does not reset its last send.
     try:
-        output = party.receive_payload(payload)
-    except SetupAbort as abort:  # a shape check over both branches, the same for either d
-        raise _Abort(abort.reason, _closing(False, abort.reason)) from None
-    # The same reply whatever the decode gives: a failure only on the
-    # receiver's own branch would tell the sender d, and so the choice.
-    _send(chan, _closing(True, Reason.OK))
-    reason = Reason.OK if output is not None else Reason.DECODE_FAILURE
-    return {"completed": output is not None, "reason": reason, "output": output}
+        while True:
+            chan.recv()
+    except (ConnectionError, FrameError):
+        pass
+    return dict(failed, reason=reason)
 
 
 # --------------------------------------------------------------------------
@@ -212,9 +134,9 @@ def _commit_roles(params: CommitParams, seed: int, value: BitString | None):
     failed = {"accepted": False, "opened": None}
     return value, {
         "committer": lambda chan: _play(
-            chan, Committer(params, value, role_rng(seed, "alice")), pair, _committer, failed),
+            chan, Committer(params, value, role_rng(seed, "alice")), pair, failed),
         "verifier": lambda chan: _play(
-            chan, Verifier(params, role_rng(seed, "bob")), pair, _verifier, failed),
+            chan, Verifier(params, role_rng(seed, "bob")), pair, failed),
     }
 
 
@@ -236,10 +158,9 @@ def _ot_roles(
     s0, s1 = secrets
     return choice, secrets, {
         "sender": lambda chan: _play(
-            chan, OTSender(params, s0, s1, role_rng(seed, "alice")), pair, _sender,
-            {"completed": False}),
+            chan, OTSender(params, s0, s1, role_rng(seed, "alice")), pair, {"completed": False}),
         "receiver": lambda chan: _play(
-            chan, OTReceiver(params, choice, role_rng(seed, "bob")), pair, _receiver,
+            chan, OTReceiver(params, choice, role_rng(seed, "bob")), pair,
             {"completed": False, "output": None}),
     }
 

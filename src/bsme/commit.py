@@ -11,6 +11,8 @@ on the overlap, checks the digest, and re-derives the masked value:
           and HD(W on overlap, noisy sample on overlap) <= floor((delta+zeta)*|overlap|)
           and g(W) == digest
           and extract(W, u) xor masked == claimed value
+
+Each party's ``play`` generator is the one place its message order is written.
 """
 
 from __future__ import annotations
@@ -21,16 +23,24 @@ from dataclasses import dataclass
 from .bits import BitString, IndexSet
 from .hashing import ToeplitzHash, random_seed, seed_length, strong_extract
 from .infomath import CommitParams, floor_tol
-from .reasons import Reason, SetupAbort, _Phased
+from .reasons import Reason, ResultMsg, SetupAbort
 from .source import SourcePair, sample_positions
 
 __all__ = [
+    "HashDesc",
     "CommitMessage",
     "OpenMessage",
     "VerifyResult",
     "Committer",
     "Verifier",
 ]
+
+
+@dataclass(frozen=True)
+class HashDesc:
+    """Verifier's hash choice, carried as the Toeplitz diagonal."""
+
+    diag: BitString
 
 
 @dataclass(frozen=True)
@@ -53,9 +63,8 @@ class VerifyResult:
     reason: Reason
 
 
-class Committer(_Phased):
+class Committer:
     def __init__(self, params: CommitParams, value: BitString, rng: random.Random):
-        super().__init__()
         if value.length != params.m:
             raise ValueError(f"value must have m={params.m} bits")
         self.params = params
@@ -64,17 +73,29 @@ class Committer(_Phased):
         self.a: IndexSet | None = None
         self._x_a: BitString | None = None
 
+    def play(self, pair: SourcePair):
+        """The committer's message order, as a generator.
+
+        It yields each message the party sends and the class of each message
+        it waits for; that message comes back through ``send()``.  It returns
+        the outcome the verifier reports.  A refusal raises `SetupAbort`.
+        """
+        self.transmit(pair)
+        yield self.make_commitment((yield HashDesc).diag)
+        yield self.open()
+        result = yield ResultMsg
+        return {"accepted": result.ok, "reason": result.reason,
+                "opened": result.value if result.ok else None}
+
     def transmit(self, pair: SourcePair) -> None:
         """Sample k positions of the clean view; only those bits are kept."""
         p = self.params
-        self._advance("new", "transmitted")
         self.a = sample_positions(p.n, p.k, self._rng)
         self._x_a = pair.x.restrict(self.a)
 
     def make_commitment(self, diag: BitString) -> CommitMessage:
         """Commit under the verifier's hash g, given by its Toeplitz diagonal."""
         p = self.params
-        self._advance("transmitted", "committed")
         if diag.length != seed_length(p.k, p.digest_len):
             raise SetupAbort(Reason.MALFORMED_MESSAGE)
         g = ToeplitzHash(p.k, p.digest_len, diag)
@@ -83,13 +104,11 @@ class Committer(_Phased):
         return CommitMessage(masked=masked, digest=g(self._x_a), a=self.a, u=u)
 
     def open(self) -> OpenMessage:
-        self._advance("committed", "opened")
         return OpenMessage(value=self.value, w=self._x_a)
 
 
-class Verifier(_Phased):
+class Verifier:
     def __init__(self, params: CommitParams, rng: random.Random):
-        super().__init__()
         self.params = params
         self._rng = rng
         self.b: IndexSet | None = None
@@ -98,23 +117,36 @@ class Verifier(_Phased):
         self._commitment: CommitMessage | None = None
         self._malformed = False
 
+    def play(self, pair: SourcePair):
+        """The verifier's message order; see `Committer.play`.  It answers
+        any refusal with its failed result rather than an abort."""
+        self.transmit(pair)
+        yield HashDesc(self.choose_hash())
+        try:
+            self.receive_commitment((yield CommitMessage))
+            opening = yield OpenMessage
+        except SetupAbort as abort:
+            abort.reported = True
+            raise
+        res = self.verify(opening)
+        opened = opening.value if res.accept else None
+        yield ResultMsg(res.accept, res.reason, opened or BitString.zeros(0))
+        return {"accepted": res.accept, "reason": res.reason, "opened": opened}
+
     def transmit(self, pair: SourcePair) -> None:
         """Sample k positions of the noisy view; only those bits are kept."""
         p = self.params
-        self._advance("new", "transmitted")
         self.b = sample_positions(p.n, p.k, self._rng)
         self._xt_b = pair.x_tilde.restrict(self.b)
 
     def choose_hash(self) -> BitString:
         """Draw the binding hash g; its Toeplitz diagonal is what is sent."""
         p = self.params
-        self._advance("transmitted", "hashed")
         self.hash = ToeplitzHash.random(p.k, p.digest_len, self._rng)
         return self.hash.diag
 
     def receive_commitment(self, msg: CommitMessage) -> None:
         p = self.params
-        self._advance("hashed", "committed")
         ok = (
             msg.masked.length == p.m
             and msg.digest.length == p.digest_len
@@ -127,7 +159,6 @@ class Verifier(_Phased):
 
     def verify(self, opening: OpenMessage) -> VerifyResult:
         p = self.params
-        self._advance("committed", "opened")
         msg = self._commitment
         if self._malformed or opening.w.length != p.k or opening.value.length != p.m:
             return VerifyResult(False, Reason.MALFORMED_MESSAGE)

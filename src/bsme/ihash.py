@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .bits import BitString
-from .reasons import ProtocolStateError, Reason, SetupAbort
+from .reasons import Reason, SetupAbort
 
 __all__ = ["IHOutcome", "Querier", "Respondent", "DependentQueryError", "solve_pair"]
 
@@ -98,28 +98,19 @@ class Querier:
         return self._ech.rank == self.m - 1
 
     def next_query(self) -> BitString:
-        if self._pending is not None:
-            raise ProtocolStateError("previous response still pending")
         p = self.m - 1 - len(self._ech.rows)
-        if not p:
-            raise ProtocolStateError("all rounds are complete")
         candidate = (1 << p) | self._rng.getrandbits(p)
         # the pivot is new, so this is one lookup returning the row unchanged
         self._pending = self._ech.reduce(candidate << 1)
         return BitString(self.m, candidate)
 
     def take_response(self, bit: int) -> None:
-        if self._pending is None:
-            raise ProtocolStateError("no query is pending")
         if bit not in (0, 1):
             raise ValueError("response must be a bit")
         # the query entered unreduced, so bit 0 of the pending row is clear
         self._ech.insert(self._pending ^ bit)
-        self._pending = None
 
     def outcome(self) -> IHOutcome:
-        if not self.finished:
-            raise ProtocolStateError("rounds still remaining")
         w0, w1 = _solve_rows(self._ech, self.m)
         return IHOutcome(w0, w1)
 
@@ -142,8 +133,6 @@ class Respondent:
         return self._ech.rank == self.m - 1
 
     def respond(self, query: BitString) -> int:
-        if self.finished:
-            raise ProtocolStateError("all rounds are complete")
         if query.length != self.m:
             raise SetupAbort(Reason.MALFORMED_MESSAGE)
         q = query.to_int()
@@ -155,8 +144,6 @@ class Respondent:
         return bit
 
     def outcome(self) -> IHOutcome:
-        if not self.finished:
-            raise ProtocolStateError("rounds still remaining")
         w0, w1 = _solve_rows(self._ech, self.m)
         d = 0 if w0.to_int() == self._w else 1
         if (self._w == w0.to_int()) == (self._w == w1.to_int()):

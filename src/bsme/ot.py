@@ -14,6 +14,8 @@ Z_i = s_{i xor e} xor Y_i together with the extractor seed and helper
 string.  The receiver recovers Y on its branch from its noisy bits and
 unmasks Z_d, so it learns s_choice and nothing else is revealed about
 which secret it took.
+
+Each party's ``play`` generator is the one place its message order is written.
 """
 
 from __future__ import annotations
@@ -26,11 +28,34 @@ from .codes import fuzzy_ext, fuzzy_rec
 from .hashing import random_seed, seed_length
 from .infomath import OTParams
 from .ihash import Querier, Respondent
-from .reasons import Reason, SetupAbort, _Phased
+from .reasons import Reason, ResultMsg, SetupAbort
 from .source import SourcePair, sample_positions
 from .subsets import DenseCode
 
-__all__ = ["TransferPayload", "SetupAbort", "OTSender", "OTReceiver"]
+__all__ = ["SetA", "IHQuery", "IHResponse", "EBit", "TransferPayload", "SetupAbort",
+           "OTSender", "OTReceiver"]
+
+
+@dataclass(frozen=True)
+class SetA:
+    """Sample-position announcement, carried as a ground-set mask."""
+
+    positions: IndexSet
+
+
+@dataclass(frozen=True)
+class IHQuery:
+    q: BitString
+
+
+@dataclass(frozen=True)
+class IHResponse:
+    bit: int
+
+
+@dataclass(frozen=True)
+class EBit:
+    e: int
 
 
 @dataclass(frozen=True)
@@ -55,9 +80,8 @@ def _decode_pair(dense: DenseCode, w0: BitString, w1: BitString) -> tuple[IndexS
     return d0[0], d1[0]
 
 
-class OTSender(_Phased):
+class OTSender:
     def __init__(self, params: OTParams, s0: BitString, s1: BitString, rng: random.Random):
-        super().__init__()
         if s0.length != params.payload_len or s1.length != params.payload_len:
             raise ValueError(f"secrets must have {params.payload_len} bits")
         self.params = params
@@ -69,15 +93,26 @@ class OTSender(_Phased):
         self.querier: Querier | None = None
         self._c_rel: tuple[IndexSet, IndexSet] | None = None
 
+    def play(self, pair: SourcePair):
+        """The sender's message order; see `bsme.commit.Committer.play`."""
+        self.transmit(pair)
+        yield SetA(self.begin_setup())
+        while not self.querier.finished:
+            yield IHQuery(self.next_query())
+            self.take_response((yield IHResponse).bit)
+        e = (yield EBit).e
+        self.finish_setup()
+        yield self.transfer(e)
+        result = yield ResultMsg  # ok: the payload was accepted in shape
+        return {"completed": result.ok, "reason": result.reason}
+
     def transmit(self, pair: SourcePair) -> None:
         p = self.params
-        self._advance("new", "transmitted")
         self.a = sample_positions(p.n, p.k, self._rng)
         self._x_a = pair.x.restrict(self.a)
 
     def begin_setup(self) -> IndexSet:
         """Publish A and prepare to drive the interactive hashing rounds."""
-        self._advance("transmitted", "hashing")
         self.querier = Querier(self.params.m, self._rng)
         return self.a
 
@@ -89,13 +124,11 @@ class OTSender(_Phased):
 
     def finish_setup(self) -> tuple[IndexSet, IndexSet]:
         """Decode both candidate subsets (relative to A); abort on bad encodings."""
-        self._advance("hashing", "setup-done")
         self._c_rel = _decode_pair(self._dense, *self.querier.outcome().pair)
         return self._c_rel
 
     def transfer(self, e: int) -> TransferPayload:
         p = self.params
-        self._advance("setup-done", "transferred")
         if e not in (0, 1):
             raise ValueError("e must be a bit")
         parts = []
@@ -108,9 +141,8 @@ class OTSender(_Phased):
         return TransferPayload(*parts)
 
 
-class OTReceiver(_Phased):
+class OTReceiver:
     def __init__(self, params: OTParams, choice: int, rng: random.Random):
-        super().__init__()
         if choice not in (0, 1):
             raise ValueError("choice must be a bit")
         self.params = params
@@ -123,16 +155,34 @@ class OTReceiver(_Phased):
         self.respondent: Respondent | None = None
         self._d: int | None = None
 
+    def play(self, pair: SourcePair):
+        """The receiver's message order; see `bsme.commit.Committer.play`.  It
+        answers a payload of the wrong shape with its failed result."""
+        self.transmit(pair)
+        self.receive_positions((yield SetA).positions)
+        for _ in range(self.params.m - 1):
+            yield IHResponse(self.respond((yield IHQuery).q))
+        yield EBit(self.finish_setup())
+        payload = yield TransferPayload
+        try:
+            output = self.receive_payload(payload)
+        except SetupAbort as abort:  # a shape check over both branches, the same for either d
+            abort.reported = True
+            raise
+        # The same reply whatever the decode gives: a failure only on the
+        # receiver's own branch would tell the sender d, and so the choice.
+        yield ResultMsg(True, Reason.OK, BitString.zeros(0))
+        reason = Reason.OK if output is not None else Reason.DECODE_FAILURE
+        return {"completed": output is not None, "reason": reason, "output": output}
+
     def transmit(self, pair: SourcePair) -> None:
         p = self.params
-        self._advance("new", "transmitted")
         self.b = sample_positions(p.n, p.k, self._rng)
         self._xt_b = pair.x_tilde.restrict(self.b)
 
     def receive_positions(self, a: IndexSet) -> None:
         """Intersect with our sample; abort when too small, else pick C."""
         p = self.params
-        self._advance("transmitted", "hashing")
         if a.ground != p.n or len(a) != p.k:
             raise SetupAbort(Reason.MALFORMED_MESSAGE)
         overlap = a.intersect(self.b)
@@ -147,7 +197,6 @@ class OTReceiver(_Phased):
 
     def finish_setup(self) -> int:
         """Decode both candidates, remember d, and emit e = choice xor d."""
-        self._advance("hashing", "setup-done")
         out = self.respondent.outcome()
         _decode_pair(self._dense, out.w0, out.w1)
         self._d = out.d
@@ -156,7 +205,6 @@ class OTReceiver(_Phased):
     def receive_payload(self, payload: TransferPayload) -> BitString | None:
         """Recover the chosen secret, or None when recovery fails."""
         p = self.params
-        self._advance("setup-done", "transferred")
         branch = (payload.z0, payload.r0, payload.p0), (payload.z1, payload.r1, payload.p1)
         # Both branches, so that whether the peer is refused does not depend on d.
         lengths = (p.payload_len, seed_length(p.ell, p.payload_len), p.p_len)

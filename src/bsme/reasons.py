@@ -1,10 +1,13 @@
 """Outcome reason codes shared by the protocols and the wire format, the one
-exception a party raises when it refuses the peer's data, and the phase guard
-both protocols' parties share."""
+exception a party raises when it refuses the peer's data, and the result
+report both protocols close with."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import IntEnum
+
+from .bits import BitString
 
 
 class Reason(IntEnum):
@@ -24,24 +27,24 @@ class Reason(IntEnum):
 
 
 class SetupAbort(Exception):
-    """A party refused the peer's data; the session ends with `reason`."""
+    """A party refused the peer's data; the session ends with `reason`.
+
+    The peer is told with an abort, or with a failed `ResultMsg` when the
+    refusing party's ``play`` sets `reported` on the way out.
+    """
+
+    reported = False
 
     def __init__(self, reason: Reason):
         self.reason = reason
         super().__init__(reason.label)
 
 
-class ProtocolStateError(RuntimeError):
-    """A party method was called out of protocol order: a caller's bug."""
+@dataclass(frozen=True)
+class ResultMsg:
+    """Session outcome report.  `value` is the accepted commitment value;
+    transfer sessions leave it empty so the wire never reveals the output."""
 
-
-class _Phased:
-    """Refuses a party method called out of protocol order."""
-
-    def __init__(self):
-        self._phase = "new"
-
-    def _advance(self, expected: str, nxt: str):
-        if self._phase != expected:
-            raise ProtocolStateError(f"phase is {self._phase!r}, expected {expected!r}")
-        self._phase = nxt
+    ok: bool
+    reason: Reason
+    value: BitString

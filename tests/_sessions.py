@@ -1,12 +1,13 @@
 """One direct driver per protocol, shared by the tests.
 
-Each driver builds the parties from their own seed labels and passes every
-message between them in the protocol's order, with no wire in between; the
-session runner is the one driver that frames messages.  The labels:
-``{seed}:src`` the broadcast, ``{seed}:val`` the committed value, ``{seed}:c``
-and ``{seed}:v`` the committer and the verifier, ``{seed}:tamper`` the coins
-of an edit in transit, ``{seed}:i`` the two secrets and then the choice, and
-``{seed}:s`` and ``{seed}:r`` the sender and the receiver.
+Each driver builds the parties from their own seed labels and runs both
+parties' ``play`` generators through one pump, in one thread and with no wire
+in between; the session runner is the one driver that frames messages.
+Edits apply to a message as it is delivered.  The labels: ``{seed}:src`` the
+broadcast, ``{seed}:val`` the committed value, ``{seed}:c`` and ``{seed}:v``
+the committer and the verifier, ``{seed}:tamper`` the coins of an edit in
+transit, ``{seed}:i`` the two secrets and then the choice, and ``{seed}:s``
+and ``{seed}:r`` the sender and the receiver.
 """
 
 import random
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from bsme.bits import BitString
 from bsme.commit import CommitMessage, Committer, OpenMessage, Verifier, VerifyResult
-from bsme.ot import OTReceiver, OTSender, TransferPayload
+from bsme.ot import IHQuery, OTReceiver, OTSender, TransferPayload
 from bsme.source import SourceConfig, generate
 
 
@@ -22,6 +23,36 @@ def _broadcast(params, seed, noisy):
     return generate(SourceConfig(n=params.n, alpha=params.alpha,
                                  delta=params.delta if noisy else 0.0,
                                  seed=f"{seed}:src"))
+
+
+def _pump(first, second, deliver):
+    """Run two ``play`` generators to their ends and return what each returns.
+
+    A message one yields waits in the other's inbox, and reaches it through
+    ``deliver`` when it takes it.  A party waiting on an empty inbox gives
+    the turn to its peer; a ``SetupAbort`` from either propagates.
+    """
+    games, steps, inboxes, results = (first, second), [next(first), next(second)], ([], []), {}
+
+    def waits(side):
+        return side in results or isinstance(steps[side], type) and not inboxes[side]
+
+    side = 0
+    while len(results) < 2:
+        if waits(side):
+            if waits(1 - side):
+                raise RuntimeError("both parties wait")
+            side = 1 - side
+            continue
+        try:
+            if isinstance(steps[side], type):
+                steps[side] = games[side].send(deliver(inboxes[side].pop(0)))
+            else:
+                inboxes[1 - side].append(steps[side])
+                steps[side] = next(games[side])
+        except StopIteration as done:
+            results[side] = done.value
+    return results[0], results[1]
 
 
 @dataclass
@@ -34,8 +65,12 @@ class CommitRun:
     result: VerifyResult | None = None
 
 
+def _keep(msg, run):
+    return msg
+
+
 def commit_session(params, seed, value=None, noisy=True,
-                   edit_commitment=None, edit_opening=None) -> CommitRun:
+                   edit_commitment=_keep, edit_opening=_keep) -> CommitRun:
     """One commit session, its value drawn from ``{seed}:val`` unless given.
 
     Each edit hook takes the message in transit and the run so far, and
@@ -48,16 +83,16 @@ def commit_session(params, seed, value=None, noisy=True,
     run = CommitRun(Committer(params, value, random.Random(f"{seed}:c")),
                     Verifier(params, random.Random(f"{seed}:v")),
                     random.Random(f"{seed}:tamper"))
-    run.com.transmit(pair)
-    run.ver.transmit(pair)
-    run.commitment = run.com.make_commitment(run.ver.choose_hash())
-    if edit_commitment is not None:
-        run.commitment = edit_commitment(run.commitment, run)
-    run.ver.receive_commitment(run.commitment)
-    run.opening = run.com.open()
-    if edit_opening is not None:
-        run.opening = edit_opening(run.opening, run)
-    run.result = run.ver.verify(run.opening)
+
+    def deliver(msg):
+        if isinstance(msg, CommitMessage):
+            run.commitment = msg = edit_commitment(msg, run)
+        elif isinstance(msg, OpenMessage):
+            run.opening = msg = edit_opening(msg, run)
+        return msg
+
+    _, out = _pump(run.com.play(pair), run.ver.play(pair), deliver)
+    run.result = VerifyResult(out["accepted"], out["reason"])
     return run
 
 
@@ -77,8 +112,8 @@ def ot_session(params, seed, choice=None, secrets=None, noisy=True,
 
     Secrets left out are drawn from ``{seed}:i``, and a choice left out is
     drawn from the same stream after them.  ``before_hashing(sender,
-    receiver)`` runs after the receiver has taken the positions and before
-    the first query.
+    receiver)`` runs as the first query is delivered: after the receiver has
+    taken the positions and before it answers.
     """
     pair = _broadcast(params, seed, noisy)
     rng_i = random.Random(f"{seed}:i")
@@ -89,14 +124,13 @@ def ot_session(params, seed, choice=None, secrets=None, noisy=True,
         choice = rng_i.getrandbits(1)
     sender = OTSender(params, secrets[0], secrets[1], random.Random(f"{seed}:s"))
     receiver = OTReceiver(params, choice, random.Random(f"{seed}:r"))
-    sender.transmit(pair)
-    receiver.transmit(pair)
-    receiver.receive_positions(sender.begin_setup())
-    if before_hashing is not None:
-        before_hashing(sender, receiver)
-    while not sender.querier.finished:
-        sender.take_response(receiver.respond(sender.next_query()))
-    sender.finish_setup()
-    payload = sender.transfer(receiver.finish_setup())
-    return OTRun(secrets, choice, sender, receiver, payload,
-                 receiver.receive_payload(payload))
+    delivered = {}
+
+    def deliver(msg):
+        if isinstance(msg, IHQuery) and IHQuery not in delivered and before_hashing:
+            before_hashing(sender, receiver)
+        delivered[type(msg)] = msg
+        return msg
+
+    _, out = _pump(sender.play(pair), receiver.play(pair), deliver)
+    return OTRun(secrets, choice, sender, receiver, delivered[TransferPayload], out["output"])

@@ -744,6 +744,23 @@ class TestCLI:
         assert offending in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, offending", [
+        (["commit", "--n", "512", "--ell", "8", "--se", "3", "--val", "1011011101", "--js"],
+         "--se"),
+        (["attack", "--which", "binding", "--tri", "5"], "--tri"),
+        (["commit", "--n", "512", "--ell", "8", "@FILE"], "--se"),
+    ], ids=["commit", "attack", "argument-file"])
+    def test_abbreviated_flag_exits_usage(self, tmp_path, capsys, argv, offending):
+        # a unique prefix of a flag is refused, not taken for the flag
+        cfg = tmp_path / "abbrev.args"
+        cfg.write_text("--se 3\n")
+        with pytest.raises(SystemExit) as info:
+            cli.main([f"@{cfg}" if arg == "@FILE" else arg for arg in argv])
+        assert info.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert offending in captured.err
+        assert captured.out == ""
+
     def test_config_file_errors_exit_usage(self, tmp_path, capsys):
         # a file that cannot be read: missing, or a directory
         for path in (tmp_path / "missing.args", tmp_path):

@@ -11,7 +11,6 @@ from bsme.gf2 import Echelon, solve_affine_pair
 from bsme.ihash import (
     DependentQueryError,
     IHOutcome,
-    ProtocolStateError,
     Querier,
     Respondent,
     solve_pair,
@@ -118,22 +117,14 @@ class TestHonestRuns:
 class TestStateMachine:
     def test_querier_round_discipline(self):
         q = Querier(3, random.Random(0))
-        with pytest.raises(ProtocolStateError):
-            q.take_response(0)
         q.next_query()
-        with pytest.raises(ProtocolStateError):
-            q.next_query()
         with pytest.raises(ValueError):
             q.take_response(2)
         q.take_response(0)
-        with pytest.raises(ProtocolStateError):
-            q.outcome()
         assert not q.finished
         q.next_query()
         q.take_response(1)
         assert q.finished
-        with pytest.raises(ProtocolStateError):
-            q.next_query()
         q.outcome()
 
     def test_respondent_rejects_dependent_queries(self):
@@ -156,11 +147,8 @@ class TestStateMachine:
         with pytest.raises(SetupAbort) as info:
             r.respond(BitString(3, 1))
         assert info.value.reason is Reason.MALFORMED_MESSAGE
-        with pytest.raises(ProtocolStateError):
-            r.outcome()
         r.respond(BitString(2, 1))
-        with pytest.raises(ProtocolStateError):
-            r.respond(BitString(2, 2))
+        assert r.finished
 
     def test_querier_needs_two_rounds_min(self):
         with pytest.raises(ValueError):

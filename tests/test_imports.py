@@ -5,7 +5,8 @@ function, class, method or module-level name is referenced somewhere in the
 package besides its own definition.  Every public module-level function and
 class has a caller in the system: the package, the benchmark, the console
 script, or the acceptance criteria.  No module under `bsme/app/` imports the
-protocol math (`hashing`, `gf2`, `ihash`, `subsets`).  There is no linter in
+protocol math (`hashing`, `gf2`, `ihash`, `subsets`), and no module outside
+it imports `app` or any module in it.  There is no linter in
 the toolchain, so this walks each module's syntax tree.  Package `__init__`
 files are skipped by the import check, since importing to re-export is their
 job.
@@ -88,6 +89,25 @@ def test_checker_sees_protocol_math_imports():
         "import bsme.ihash\nfrom ..commit import Committer\nfrom .framing import SetA\n"
     )
     assert imported_modules(tree) & PROTOCOL_MATH == {"hashing", "gf2", "ihash"}
+
+
+# The protocols know nothing about wires: only `app` imports `app`.
+APP = {"app", "framing", "channel", "runner", "cli"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_protocols_import_no_app(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    app_used = imported_modules(tree) & APP
+    assert not app_used, f"{path.name} imports from app: {sorted(app_used)}"
+
+
+def test_checker_sees_app_imports():
+    tree = ast.parse(
+        "from .app import runner\nfrom .app.framing import SetA\nimport bsme.app.cli\n"
+        "from . import channel\nfrom .reasons import ResultMsg\n"
+    )
+    assert imported_modules(tree) & APP == {"app", "framing", "cli", "channel"}
 
 
 def private_definitions(tree: ast.Module) -> dict[str, int]:

@@ -108,10 +108,9 @@ class TestAborts:
         assert info.value.reason is Reason.INVALID_ENCODING
 
     def test_malformed_payload(self):
-        # rebuild a fresh receiver mid-protocol to re-feed a bad payload
+        # re-feed a bad payload to the receiver of a finished session
         run = ot_session(PARAMS, 24, 0)
         receiver2, payload2 = run.receiver, run.payload
-        receiver2._phase = "setup-done"
         bad = TransferPayload(
             z0=BitString.zeros(PARAMS.payload_len + 1), r0=payload2.r0, p0=payload2.p0,
             z1=BitString.zeros(PARAMS.payload_len + 1), r1=payload2.r1, p1=payload2.p1,
@@ -129,7 +128,6 @@ class TestAborts:
 
         run2 = ot_session(params, 31, 0, noisy=False)
         receiver2, payload2 = run2.receiver, run2.payload
-        receiver2._phase = "setup-done"
         c_in_b = receiver2.c_abs.positions_within(receiver2.b)
         receiver2._xt_b = receiver2._xt_b.flip(c_in_b.indices[0])
         assert receiver2.receive_payload(payload2) is None
@@ -148,13 +146,5 @@ class TestValidation:
 
     def test_transfer_e_is_bit(self):
         sender = ot_session(PARAMS, 41, 0).sender
-        sender._phase = "setup-done"
         with pytest.raises(ValueError):
             sender.transfer(2)
-
-    def test_phase_enforced(self):
-        rng = random.Random(0)
-        sender = OTSender(PARAMS, BitString.zeros(PARAMS.payload_len),
-                          BitString.zeros(PARAMS.payload_len), rng)
-        with pytest.raises(RuntimeError):
-            sender.begin_setup()
