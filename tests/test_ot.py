@@ -12,7 +12,8 @@ from bsme.bits import BitString, IndexSet
 from bsme.codes import LinearCode
 from bsme.ihash import Respondent
 from bsme.infomath import derive_ot_params
-from bsme.ot import OTReceiver, OTSender, SetupAbort, TransferPayload
+from bsme.ot import (EBit, IHQuery, IHResponse, OTReceiver, OTSender, SetA, SetupAbort,
+                     TransferPayload)
 from bsme.reasons import Reason
 from bsme.source import SourceConfig, generate
 
@@ -105,6 +106,24 @@ class TestAborts:
         assert info.value.reason is Reason.INVALID_ENCODING
         with pytest.raises(SetupAbort) as info:
             receivers[0].finish_setup()
+        assert info.value.reason is Reason.INVALID_ENCODING
+
+    def test_sender_refuses_invalid_encoding(self):
+        # a hostile receiver answers from the rejected tail and sends e anyway
+        pair = generate(SourceConfig(n=PARAMS.n, alpha=PARAMS.alpha,
+                                     delta=PARAMS.delta, seed="21:src"))
+        secrets = (BitString.zeros(PARAMS.payload_len),) * 2
+        sender = OTSender(PARAMS, *secrets, random.Random("21:s"))
+        respondent = Respondent(BitString(PARAMS.m, (1 << PARAMS.m) - 1))
+        play = sender.play(pair)
+        assert isinstance(next(play), SetA)
+        step = next(play)
+        while isinstance(step, IHQuery):
+            assert next(play) is IHResponse
+            step = play.send(IHResponse(respondent.respond(step.q)))
+        assert step is EBit and respondent.finished
+        with pytest.raises(SetupAbort) as info:
+            play.send(EBit(0))
         assert info.value.reason is Reason.INVALID_ENCODING
 
     def test_malformed_payload(self):
