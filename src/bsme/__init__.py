@@ -9,7 +9,7 @@ command line layer (app).
 
 from .bits import BitString, IndexSet
 from .codes import FuzzyOutput, LinearCode, fuzzy_ext, fuzzy_rec
-from .commit import CommitMessage, Committer, OpenMessage, Verifier, VerifyResult
+from .commit import CommitMessage, Committer, OpenMessage, Verifier
 from .infomath import (
     CommitParams,
     Distribution,
@@ -31,7 +31,7 @@ from .infomath import (
     zyablov_delta,
 )
 from .hashing import ToeplitzHash, random_seed, seed_length, strong_extract
-from .ihash import DependentQueryError, IHOutcome, Querier, Respondent
+from .ihash import IHOutcome, Querier, Respondent
 from .ot import OTReceiver, OTSender, TransferPayload
 from .reasons import Reason, SetupAbort
 from .source import SourceConfig, SourcePair, generate
@@ -50,7 +50,6 @@ __all__ = [
     "Verifier",
     "CommitMessage",
     "OpenMessage",
-    "VerifyResult",
     "CommitParams",
     "OTParams",
     "Distribution",
@@ -76,7 +75,6 @@ __all__ = [
     "Querier",
     "Respondent",
     "IHOutcome",
-    "DependentQueryError",
     "OTSender",
     "OTReceiver",
     "TransferPayload",

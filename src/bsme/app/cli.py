@@ -41,6 +41,7 @@ from ..infomath import (
     ot_gv_delta_threshold,
     rho,
 )
+from ..reasons import Reason
 from .channel import connect_channel, listen_channel
 from .runner import commit_party, ot_party, run_commit_session, run_ot_session
 
@@ -222,7 +223,8 @@ def cmd_commit(args) -> int:
         delta=args.delta, zeta=args.zeta, tau=args.tau, omega=args.omega,
     )
     if args.role or args.listen or args.connect:
-        return _network_party(args, "commit", params)
+        return _network_party(args, lambda chan: commit_party(
+            args.role, chan, params, args.seed, value=args.value))
     outcome = run_commit_session(
         params, value=args.value, seed=args.seed, transport=args.transport
     )
@@ -271,7 +273,8 @@ def cmd_ot(args) -> int:
     if args.s0 is not None:
         secrets = (args.s0, args.s1)
     if args.role or args.listen or args.connect:
-        return _network_party(args, "ot", params, secrets)
+        return _network_party(args, lambda chan: ot_party(
+            args.role, chan, params, args.seed, choice=args.choice, secrets=secrets))
     outcome = run_ot_session(
         params, choice=args.choice, secrets=secrets, seed=args.seed,
         transport=args.transport,
@@ -296,20 +299,16 @@ def cmd_ot(args) -> int:
     return EXIT_OK if outcome.completed else EXIT_REJECTED
 
 
-def _network_party(args, protocol: str, params, secrets=None) -> int:
+def _network_party(args, party) -> int:
+    """Run ``party(chan)`` over the --listen or --connect channel and print its result."""
     address = args.listen or args.connect
     if args.role is None or address is None:
         raise ValueError("--role needs --listen or --connect, and they need --role")
     chan = (listen_channel if args.listen else connect_channel)(*address)
     try:
-        if protocol == "commit":
-            out = commit_party(args.role, chan, params, args.seed, value=args.value)
-        else:
-            out = ot_party(args.role, chan, params, args.seed,
-                           choice=args.choice, secrets=secrets)
+        out = party(chan)
     finally:
         chan.close()
-    ok = bool(out.get("accepted", out.get("completed", False)))
     printable = {
         k: (v.to_str() if isinstance(v, BitString) else v)
         for k, v in out.items()
@@ -319,7 +318,7 @@ def _network_party(args, protocol: str, params, secrets=None) -> int:
     if "secrets" in out:
         printable["secrets"] = [s.to_str() for s in out["secrets"]]
     _emit(args, printable, [f"{k}={v}" for k, v in printable.items()])
-    return EXIT_OK if ok else EXIT_REJECTED
+    return EXIT_OK if out["reason"] is Reason.OK else EXIT_REJECTED
 
 
 def _checks(args, reports) -> int:

@@ -25,13 +25,7 @@ from ..reasons import Reason, ResultMsg
 __all__ = [
     "FrameError",
     "TAGS",
-    "HashDesc",
-    "SetA",
-    "EBit",
-    "IHQuery",
-    "IHResponse",
     "AbortMsg",
-    "ResultMsg",
     "encode_frame",
     "decode_frame",
     "read_frame",

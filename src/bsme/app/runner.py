@@ -18,6 +18,10 @@ closing frame (the party's failed result if the abort is marked
 ``reported``, else an abort), reads until the peer closes, and reports the
 reason.  A peer's abort ends the party without a reply.  Any other exception
 is a bug and propagates to the caller.
+
+A party's result is a dict whose ``reason`` is the one record of how it
+ended: ``Reason.OK`` on success, and then its output (``opened`` or
+``output``) beside it.
 """
 
 from __future__ import annotations
@@ -60,23 +64,29 @@ def build_source(n: int, alpha: float, delta: float, seed: int) -> SourcePair:
 @dataclass(frozen=True)
 class CommitOutcome:
     value: BitString
-    accepted: bool
     reason: Reason
     opened: BitString | None
     transcript: tuple[tuple[str, bytes], ...]
 
+    @property
+    def accepted(self) -> bool:
+        return self.reason is Reason.OK
+
 
 @dataclass(frozen=True)
 class OTOutcome:
-    """``completed`` needs the receiver's success: the sender only learns
-    that the payload was accepted in shape, not whether it decoded."""
+    """``reason`` is the receiver's unless that is ok: the sender only
+    learns that the payload was accepted in shape, not whether it decoded."""
 
     choice: int
     secrets: tuple[BitString, BitString]
-    completed: bool
     reason: Reason
     output: BitString | None
     transcript: tuple[tuple[str, bytes], ...]
+
+    @property
+    def completed(self) -> bool:
+        return self.reason is Reason.OK
 
     @property
     def correct(self) -> bool:
@@ -87,8 +97,8 @@ class OTOutcome:
 # carrying one party's play over a channel
 
 
-def _play(chan, party, pair: SourcePair, failed: dict) -> dict:
-    """Carry `party.play(pair)` over `chan`; on a refusal, report the failed result."""
+def _play(chan, party, pair: SourcePair) -> dict:
+    """Carry `party.play(pair)` over `chan`; on a refusal, report its reason."""
     game = party.play(pair)
     try:
         step = next(game)
@@ -102,7 +112,7 @@ def _play(chan, party, pair: SourcePair, failed: dict) -> dict:
             except FrameError:
                 msg = None
             if isinstance(msg, AbortMsg):
-                return dict(failed, reason=msg.reason)
+                return {"reason": msg.reason}
             if isinstance(msg, step):
                 step = game.send(msg)
             else:
@@ -120,7 +130,7 @@ def _play(chan, party, pair: SourcePair, failed: dict) -> dict:
             chan.recv()
     except (ConnectionError, FrameError):
         pass
-    return dict(failed, reason=reason)
+    return {"reason": reason}
 
 
 # --------------------------------------------------------------------------
@@ -131,12 +141,10 @@ def _commit_roles(params: CommitParams, seed: int, value: BitString | None):
     if value is None:
         value = BitString.random(params.m, role_rng(seed, "input"))
     pair = build_source(params.n, params.alpha, params.delta, seed)
-    failed = {"accepted": False, "opened": None}
     return value, {
         "committer": lambda chan: _play(
-            chan, Committer(params, value, role_rng(seed, "alice")), pair, failed),
-        "verifier": lambda chan: _play(
-            chan, Verifier(params, role_rng(seed, "bob")), pair, failed),
+            chan, Committer(params, value, role_rng(seed, "alice")), pair),
+        "verifier": lambda chan: _play(chan, Verifier(params, role_rng(seed, "bob")), pair),
     }
 
 
@@ -158,10 +166,9 @@ def _ot_roles(
     s0, s1 = secrets
     return choice, secrets, {
         "sender": lambda chan: _play(
-            chan, OTSender(params, s0, s1, role_rng(seed, "alice")), pair, {"completed": False}),
+            chan, OTSender(params, s0, s1, role_rng(seed, "alice")), pair),
         "receiver": lambda chan: _play(
-            chan, OTReceiver(params, choice, role_rng(seed, "bob")), pair,
-            {"completed": False, "output": None}),
+            chan, OTReceiver(params, choice, role_rng(seed, "bob")), pair),
     }
 
 
@@ -217,9 +224,8 @@ def run_commit_session(
     _, res_b = _run_pair(roles["committer"], roles["verifier"], *chans)
     return CommitOutcome(
         value=value,
-        accepted=bool(res_b["accepted"]),
         reason=res_b["reason"],
-        opened=res_b["opened"],
+        opened=res_b.get("opened"),
         transcript=tuple(transcript),
     )
 
@@ -238,9 +244,8 @@ def run_ot_session(
     return OTOutcome(
         choice=choice,
         secrets=secrets,
-        completed=bool(res_a["completed"]) and bool(res_b["completed"]),
         reason=res_b["reason"] if res_b["reason"] != Reason.OK else res_a["reason"],
-        output=res_b["output"],
+        output=res_b.get("output"),
         transcript=tuple(transcript),
     )
 

@@ -13,6 +13,8 @@ on the overlap, checks the digest, and re-derives the masked value:
           and extract(W, u) xor masked == claimed value
 
 Each party's ``play`` generator is the one place its message order is written.
+A refusal at any check raises `SetupAbort` with that check's reason, and a
+party's result is that reason: ``Reason.OK`` when the value was opened.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "HashDesc",
     "CommitMessage",
     "OpenMessage",
-    "VerifyResult",
     "Committer",
     "Verifier",
 ]
@@ -57,12 +58,6 @@ class OpenMessage:
     w: BitString           # claimed X[A]
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    accept: bool
-    reason: Reason
-
-
 class Committer:
     def __init__(self, params: CommitParams, value: BitString, rng: random.Random):
         if value.length != params.m:
@@ -78,14 +73,15 @@ class Committer:
 
         It yields each message the party sends and the class of each message
         it waits for; that message comes back through ``send()``.  It returns
-        the outcome the verifier reports.  A refusal raises `SetupAbort`.
+        the reason the verifier reports, and the value it opened when that
+        reason is ok.  A refusal raises `SetupAbort`.
         """
         self.transmit(pair)
         yield self.make_commitment((yield HashDesc).diag)
         yield self.open()
         result = yield ResultMsg
-        return {"accepted": result.ok, "reason": result.reason,
-                "opened": result.value if result.ok else None}
+        ok = result.reason is Reason.OK
+        return {"reason": result.reason, "opened": result.value if ok else None}
 
     def transmit(self, pair: SourcePair) -> None:
         """Sample k positions of the clean view; only those bits are kept."""
@@ -115,7 +111,6 @@ class Verifier:
         self._xt_b: BitString | None = None
         self.hash: ToeplitzHash | None = None
         self._commitment: CommitMessage | None = None
-        self._malformed = False
 
     def play(self, pair: SourcePair):
         """The verifier's message order; see `Committer.play`.  It answers
@@ -125,13 +120,12 @@ class Verifier:
         try:
             self.receive_commitment((yield CommitMessage))
             opening = yield OpenMessage
+            self.verify(opening)
         except SetupAbort as abort:
             abort.reported = True
             raise
-        res = self.verify(opening)
-        opened = opening.value if res.accept else None
-        yield ResultMsg(res.accept, res.reason, opened or BitString.zeros(0))
-        return {"accepted": res.accept, "reason": res.reason, "opened": opened}
+        yield ResultMsg(True, Reason.OK, opening.value)
+        return {"reason": Reason.OK, "opened": opening.value}
 
     def transmit(self, pair: SourcePair) -> None:
         """Sample k positions of the noisy view; only those bits are kept."""
@@ -146,32 +140,27 @@ class Verifier:
         return self.hash.diag
 
     def receive_commitment(self, msg: CommitMessage) -> None:
-        p = self.params
-        ok = (
-            msg.masked.length == p.m
-            and msg.digest.length == p.digest_len
-            and msg.a.ground == p.n
-            and len(msg.a) == p.k
-            and msg.u.length == seed_length(p.k, p.m)
-        )
-        self._malformed = not ok
+        """Keep the commitment; its shape is checked with the opening, since
+        the committer sends that without waiting for an answer."""
         self._commitment = msg
 
-    def verify(self, opening: OpenMessage) -> VerifyResult:
+    def verify(self, opening: OpenMessage) -> None:
+        """Raise `SetupAbort` at the first check the opening fails."""
         p = self.params
         msg = self._commitment
-        if self._malformed or opening.w.length != p.k or opening.value.length != p.m:
-            return VerifyResult(False, Reason.MALFORMED_MESSAGE)
+        shapes = ((msg.masked, p.m), (msg.digest, p.digest_len), (msg.u, seed_length(p.k, p.m)),
+                  (opening.w, p.k), (opening.value, p.m))
+        if msg.a.ground != p.n or len(msg.a) != p.k or any(f.length != n for f, n in shapes):
+            raise SetupAbort(Reason.MALFORMED_MESSAGE)
         overlap = msg.a.intersect(self.b)
         c = len(overlap)
         if c < p.ell:
-            return VerifyResult(False, Reason.SMALL_INTERSECTION)
+            raise SetupAbort(Reason.SMALL_INTERSECTION)
         w_c = opening.w.restrict(overlap.positions_within(msg.a))
         mine_c = self._xt_b.restrict(overlap.positions_within(self.b))
         if w_c.hamming(mine_c) > floor_tol((p.delta + p.zeta) * c):
-            return VerifyResult(False, Reason.DISTANCE_EXCEEDED)
+            raise SetupAbort(Reason.DISTANCE_EXCEEDED)
         if self.hash(opening.w) != msg.digest:
-            return VerifyResult(False, Reason.DIGEST_MISMATCH)
+            raise SetupAbort(Reason.DIGEST_MISMATCH)
         if strong_extract(opening.w, msg.u, p.m) ^ msg.masked != opening.value:
-            return VerifyResult(False, Reason.VALUE_MISMATCH)
-        return VerifyResult(True, Reason.OK)
+            raise SetupAbort(Reason.VALUE_MISMATCH)

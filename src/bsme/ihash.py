@@ -25,14 +25,7 @@ from . import gf2
 from .bits import BitString
 from .reasons import Reason, SetupAbort
 
-__all__ = ["IHOutcome", "Querier", "Respondent", "DependentQueryError", "solve_pair"]
-
-
-class DependentQueryError(SetupAbort):
-    """A query was linearly dependent on earlier ones (or zero)."""
-
-    def __init__(self):
-        super().__init__(Reason.DEPENDENT_QUERY)
+__all__ = ["IHOutcome", "Querier", "Respondent", "solve_pair"]
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,7 @@ class Respondent:
         bit = (q & self._w).bit_count() & 1
         r = self._ech.reduce((q << 1) | bit)
         if not r >> 1:
-            raise DependentQueryError()
+            raise SetupAbort(Reason.DEPENDENT_QUERY)
         self._ech.insert(r)
         return bit
 

@@ -103,8 +103,7 @@ class OTSender:
         e = (yield EBit).e
         self.finish_setup()
         yield self.transfer(e)
-        result = yield ResultMsg  # ok: the payload was accepted in shape
-        return {"completed": result.ok, "reason": result.reason}
+        return {"reason": (yield ResultMsg).reason}  # ok: the payload was accepted in shape
 
     def transmit(self, pair: SourcePair) -> None:
         p = self.params
@@ -173,7 +172,7 @@ class OTReceiver:
         # receiver's own branch would tell the sender d, and so the choice.
         yield ResultMsg(True, Reason.OK, BitString.zeros(0))
         reason = Reason.OK if output is not None else Reason.DECODE_FAILURE
-        return {"completed": output is not None, "reason": reason, "output": output}
+        return {"reason": reason, "output": output}
 
     def transmit(self, pair: SourcePair) -> None:
         p = self.params

@@ -3,19 +3,22 @@
 Each driver builds the parties from their own seed labels and runs both
 parties' ``play`` generators through one pump, in one thread and with no wire
 in between; the session runner is the one driver that frames messages.
-Edits apply to a message as it is delivered.  The labels: ``{seed}:src`` the
-broadcast, ``{seed}:val`` the committed value, ``{seed}:c`` and ``{seed}:v``
-the committer and the verifier, ``{seed}:tamper`` the coins of an edit in
-transit, ``{seed}:i`` the two secrets and then the choice, and ``{seed}:s``
-and ``{seed}:r`` the sender and the receiver.
+Edits apply to a message as it is delivered.  A commit session records how
+it ended as ``run.reason``; a transfer session lets a ``SetupAbort``
+propagate.  The labels: ``{seed}:src`` the broadcast, ``{seed}:val`` the
+committed value, ``{seed}:c`` and ``{seed}:v`` the committer and the
+verifier, ``{seed}:tamper`` the coins of an edit in transit, ``{seed}:i`` the
+two secrets and then the choice, and ``{seed}:s`` and ``{seed}:r`` the sender
+and the receiver.
 """
 
 import random
 from dataclasses import dataclass
 
 from bsme.bits import BitString
-from bsme.commit import CommitMessage, Committer, OpenMessage, Verifier, VerifyResult
+from bsme.commit import CommitMessage, Committer, OpenMessage, Verifier
 from bsme.ot import IHQuery, OTReceiver, OTSender, TransferPayload
+from bsme.reasons import Reason, SetupAbort
 from bsme.source import SourceConfig, generate
 
 
@@ -62,7 +65,11 @@ class CommitRun:
     tamper: random.Random
     commitment: CommitMessage | None = None
     opening: OpenMessage | None = None
-    result: VerifyResult | None = None
+    reason: Reason | None = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.reason is Reason.OK
 
 
 def _keep(msg, run):
@@ -75,7 +82,8 @@ def commit_session(params, seed, value=None, noisy=True,
 
     Each edit hook takes the message in transit and the run so far, and
     returns the message the verifier receives in its place; ``run.tamper``
-    holds the ``{seed}:tamper`` coins for it.
+    holds the ``{seed}:tamper`` coins for it.  A refusal by either party
+    ends the run with its reason.
     """
     pair = _broadcast(params, seed, noisy)
     if value is None:
@@ -91,8 +99,10 @@ def commit_session(params, seed, value=None, noisy=True,
             run.opening = msg = edit_opening(msg, run)
         return msg
 
-    _, out = _pump(run.com.play(pair), run.ver.play(pair), deliver)
-    run.result = VerifyResult(out["accepted"], out["reason"])
+    try:
+        run.reason = _pump(run.com.play(pair), run.ver.play(pair), deliver)[1]["reason"]
+    except SetupAbort as refusal:
+        run.reason = refusal.reason
     return run
 
 

@@ -35,10 +35,10 @@ from bsme.infomath import (
     ot_gv_delta_threshold,
     zyablov_delta,
 )
-from bsme.ot import SetupAbort
+from bsme.ot import EBit, SetA, SetupAbort
 from bsme.subsets import DenseCode, subset_rank
 from bsme.app import framing, runner
-from bsme.app.framing import AbortMsg, EBit, SetA, encode_message
+from bsme.app.framing import AbortMsg, encode_message
 from bsme.reasons import Reason
 
 COMMIT_PARAMS = derive_commit_params(n=4096, ell=16, alpha=1.0, gamma=0.25,
@@ -51,7 +51,7 @@ OT_PARAMS = derive_ot_params(n=4096, ell=14, code=LinearCode.hamming_7_4(),
 def test_c01_commit_honest_runs():
     t0 = time.perf_counter()
     sessions = 500
-    accepted = sum(commit_session(COMMIT_PARAMS, seed).result.accept
+    accepted = sum(commit_session(COMMIT_PARAMS, seed).accepted
                    for seed in range(sessions))
     elapsed = time.perf_counter() - t0
     rate = accepted / sessions
@@ -81,7 +81,7 @@ def test_c02_commit_tamper_rejection():
     for seed in range(sessions):
         tamper = tamper_w if seed % 2 == 0 else tamper_value
         run = commit_session(COMMIT_PARAMS, 10_000 + seed, edit_opening=tamper)
-        rejected += not run.result.accept
+        rejected += not run.accepted
     elapsed = time.perf_counter() - t0
     rate = rejected / sessions
     ok = rate >= 0.99

@@ -12,20 +12,14 @@ from hypothesis import strategies as st
 
 from bsme.bits import BitString, IndexSet
 from bsme.codes import LinearCode
-from bsme.commit import CommitMessage, OpenMessage
+from bsme.commit import CommitMessage, HashDesc, OpenMessage
 from bsme.infomath import derive_commit_params, derive_ot_params
-from bsme.ot import TransferPayload
-from bsme.reasons import Reason
+from bsme.ot import EBit, IHQuery, IHResponse, SetA, TransferPayload
+from bsme.reasons import Reason, ResultMsg
 from bsme.app import channel, cli, framing, runner
 from bsme.app.framing import (
     AbortMsg,
-    EBit,
     FrameError,
-    HashDesc,
-    IHQuery,
-    IHResponse,
-    ResultMsg,
-    SetA,
     decode_frame,
     decode_message,
     encode_frame,
@@ -422,7 +416,7 @@ class TestRunner:
         t2 = threading.Thread(target=run, args=("verifier", rhs))
         t1.start(); t2.start()
         t1.join(30); t2.join(30)
-        assert results["verifier"]["accepted"]
+        assert results["verifier"]["reason"] is Reason.OK
         assert results["verifier"]["opened"] == BitString(COMMIT_PARAMS.m, 1)
 
     def test_cross_host_ot_matches_in_process(self):
@@ -454,7 +448,6 @@ class TestRunner:
 
 
 HOSTILE_SEED = 11
-HOSTILE_JOIN_TIMEOUT = 10.0
 _PADDED = bytes.fromhex("06 00000001 00000003 ff".replace(" ", ""))  # padding bits set
 _SHORT_QUERY = encode_message(IHQuery(BitString(3, 5)))
 _PEER_ABORT = encode_message(AbortMsg(Reason.DIGEST_MISMATCH))
@@ -502,36 +495,26 @@ class TestHostilePeer:
 
     @staticmethod
     def _drive(role, incoming, seed=HOSTILE_SEED, choice=None, ot_params=OT_PARAMS):
-        """Run `role` against a peer that sends `incoming` and then closes;
-        return the party's result and the messages it sent."""
+        """Run `role` against a peer that has sent `incoming` and closed;
+        return the party's result and the messages it sent.  The party's
+        inbox is unbounded, so the peer's frames all wait there before it
+        starts and no second thread is needed."""
         transcript = []
         mine, peer = channel.memory_pair(transcript)
-        result = {}
-
-        def run():
-            try:
-                if role in ("committer", "verifier"):
-                    result["out"] = runner.commit_party(role, mine, COMMIT_PARAMS, seed)
-                else:
-                    result["out"] = runner.ot_party(role, mine, ot_params, seed, choice)
-            except BaseException as exc:
-                result["exc"] = exc
-
-        party = threading.Thread(target=run, daemon=True)
-        party.start()
         for frame in incoming:
             peer.send(frame)
         peer.close()
-        party.join(HOSTILE_JOIN_TIMEOUT)
-        assert not party.is_alive()
-        assert "exc" not in result, result.get("exc")
-        return result["out"], [decode_message(frame) for label, frame in transcript if label == "A"]
+        if role in ("committer", "verifier"):
+            out = runner.commit_party(role, mine, COMMIT_PARAMS, seed)
+        else:
+            out = runner.ot_party(role, mine, ot_params, seed, choice)
+        return out, [decode_message(frame) for label, frame in transcript if label == "A"]
 
     @classmethod
     def _run(cls, role, incoming, seed=HOSTILE_SEED, choice=None):
         """`_drive` against a peer that the party must refuse."""
         out, sent = cls._drive(role, incoming, seed, choice)
-        assert not out.get("accepted", out.get("completed"))
+        assert out["reason"] is not Reason.OK
         return out, sent
 
     @pytest.mark.parametrize("kind", ["padding", "wrong-type", "short-query", "peer-abort"])
@@ -608,6 +591,19 @@ class TestHostilePeer:
         assert reasons == {Reason.OK, Reason.DECODE_FAILURE}
         ok = encode_message(ResultMsg(True, Reason.OK, BitString.zeros(0)))
         assert closings == {0: {ok}, 1: {ok}}
+
+    @pytest.mark.parametrize("role,reason", [("committer", Reason.DIGEST_MISMATCH),
+                                             ("sender", Reason.DECODE_FAILURE)],
+                             ids=["committer", "sender"])
+    def test_contradictory_result_reports_only_its_reason(self, role, reason):
+        # A closing result with its ok bit set beside a failure reason: the
+        # party reports that failure, and no output beside it.
+        honest = _honest_peer_frames(role)
+        lying = ResultMsg(True, reason, decode_message(honest[-1]).value)
+        out, _ = self._run(role, honest[:-1] + [encode_message(lying)])
+        inputs = {"value", "secrets"}
+        assert {k: v for k, v in out.items() if k not in inputs and v is not None} == {
+            "reason": reason}
 
     def test_refused_hash_aborts_committer(self):
         # A well-formed HashDesc whose diagonal does not fit k and the digest length
@@ -861,8 +857,8 @@ class TestCLI:
             doc, pos = decoder.raw_decode(text, pos)
             docs.append(doc)
         sender, receiver = sorted(docs, key=lambda d: "choice" in d)
-        assert set(sender) == {"completed", "reason", "secrets"}
-        assert set(receiver) == {"completed", "reason", "output", "choice"}
+        assert set(sender) == {"reason", "secrets"}
+        assert set(receiver) == {"reason", "output", "choice"}
         assert sender["secrets"] == [s0, s1]
         direct = runner.run_ot_session(
             params, choice=1, secrets=(BitString.from_str(s0), BitString.from_str(s1)), seed=3)

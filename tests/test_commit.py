@@ -23,7 +23,7 @@ NOISY = derive_commit_params(n=512, ell=8, alpha=1.0, gamma=0.1,
 class TestHonest:
     def test_accepts_noiseless(self):
         run = commit_session(PARAMS, 1)
-        assert run.result.accept and run.result.reason is Reason.OK
+        assert run.accepted and run.reason is Reason.OK
         assert run.opening.value.length == PARAMS.m
 
     def test_accepts_noisy(self):
@@ -33,27 +33,26 @@ class TestHonest:
         accepted = 0
         for seed in range(8):
             run = commit_session(NOISY, seed)
-            res = run.result
             pair = generate(SourceConfig(n=NOISY.n, alpha=NOISY.alpha, delta=NOISY.delta,
                                          seed=f"{seed}:src"))
             errors = IndexSet.from_mask(pair.x ^ pair.x_tilde)
             overlap = run.com.a.intersect(run.ver.b)
             noise = len(overlap.intersect(errors))
             if noise > floor_tol((NOISY.delta + NOISY.zeta) * len(overlap)):
-                assert res.reason is Reason.DISTANCE_EXCEEDED, f"seed {seed}: {res.reason}"
+                assert run.reason is Reason.DISTANCE_EXCEEDED, f"seed {seed}: {run.reason}"
             else:
-                assert res.accept, f"seed {seed}: {res.reason}"
+                assert run.accepted, f"seed {seed}: {run.reason}"
                 accepted += 1
         assert accepted >= 4
 
     @given(st.integers(0, 2**16))
     def test_accepts_any_seed(self, seed):
-        assert commit_session(PARAMS, seed).result.accept
+        assert commit_session(PARAMS, seed).accepted
 
     def test_value_roundtrips(self):
         value = BitString(PARAMS.m, 0b101 % (1 << PARAMS.m))
         run = commit_session(PARAMS, 3, value=value)
-        assert run.result.accept
+        assert run.accepted
         assert run.opening.value == value
 
 
@@ -81,14 +80,14 @@ class TestRejection:
             assert len(crafted) == PARAMS.k
             return CommitMessage(masked=msg.masked, digest=msg.digest, a=crafted, u=msg.u)
 
-        res = commit_session(PARAMS, 7, edit_commitment=cross).result
-        assert not res.accept and res.reason is Reason.SMALL_INTERSECTION
+        run = commit_session(PARAMS, 7, edit_commitment=cross)
+        assert not run.accepted and run.reason is Reason.SMALL_INTERSECTION
 
     def test_distance_exceeded(self):
         # flip enough opened bits inside the overlap to clear the tolerance
-        res = commit_session(NOISY, 8, noisy=False,
-                             edit_opening=flip_overlap_beyond_tolerance(NOISY)).result
-        assert not res.accept and res.reason is Reason.DISTANCE_EXCEEDED
+        run = commit_session(NOISY, 8, noisy=False,
+                             edit_opening=flip_overlap_beyond_tolerance(NOISY))
+        assert not run.accepted and run.reason is Reason.DISTANCE_EXCEEDED
 
     def test_digest_mismatch(self):
         # flip a bit outside the overlap: distance check passes, digest breaks
@@ -100,31 +99,31 @@ class TestRejection:
             assert run.ver.hash(w) != run.commitment.digest, "hash must separate this flip"
             return OpenMessage(value=opening.value, w=w)
 
-        res = commit_session(PARAMS, 9, edit_opening=flip_outside).result
-        assert not res.accept and res.reason is Reason.DIGEST_MISMATCH
+        run = commit_session(PARAMS, 9, edit_opening=flip_outside)
+        assert not run.accepted and run.reason is Reason.DIGEST_MISMATCH
 
     def test_value_mismatch(self):
         # claim a different value with the true W: only the last check fails
         def claim_other(opening, run):
             return OpenMessage(value=opening.value.flip(0), w=opening.w)
 
-        res = commit_session(PARAMS, 10, edit_opening=claim_other).result
-        assert not res.accept and res.reason is Reason.VALUE_MISMATCH
+        run = commit_session(PARAMS, 10, edit_opening=claim_other)
+        assert not run.accepted and run.reason is Reason.VALUE_MISMATCH
 
     def test_malformed_shapes(self):
         def short_w(opening, run):
             return OpenMessage(value=opening.value, w=BitString.zeros(PARAMS.k - 1))
 
-        res = commit_session(PARAMS, 11, edit_opening=short_w).result
-        assert not res.accept and res.reason is Reason.MALFORMED_MESSAGE
+        run = commit_session(PARAMS, 11, edit_opening=short_w)
+        assert not run.accepted and run.reason is Reason.MALFORMED_MESSAGE
 
     def test_malformed_commitment_sticks(self):
         def short_u(msg, run):
             return CommitMessage(masked=msg.masked, digest=msg.digest,
                                  a=msg.a, u=BitString.zeros(3))
 
-        res = commit_session(PARAMS, 12, edit_commitment=short_u).result
-        assert not res.accept and res.reason is Reason.MALFORMED_MESSAGE
+        run = commit_session(PARAMS, 12, edit_commitment=short_u)
+        assert not run.accepted and run.reason is Reason.MALFORMED_MESSAGE
 
     def test_check_order_distance_before_digest(self):
         # a flip inside the overlap beyond tolerance also breaks the digest;
@@ -136,8 +135,8 @@ class TestRejection:
             assert run.ver.hash(edited.w) != run.commitment.digest
             return edited
 
-        res = commit_session(PARAMS, 13, edit_opening=flip_and_check_digest).result
-        assert res.reason is Reason.DISTANCE_EXCEEDED
+        run = commit_session(PARAMS, 13, edit_opening=flip_and_check_digest)
+        assert run.reason is Reason.DISTANCE_EXCEEDED
 
 
 class TestStateMachine:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from bsme.bits import BitString
 from bsme.gf2 import Echelon, solve_affine_pair
 from bsme.ihash import (
-    DependentQueryError,
     IHOutcome,
     Querier,
     Respondent,
@@ -130,12 +129,12 @@ class TestStateMachine:
     def test_respondent_rejects_dependent_queries(self):
         r = Respondent(BitString(4, 5))
         assert r.respond(BitString(4, 0b0011)) in (0, 1)
-        with pytest.raises(DependentQueryError):
+        with pytest.raises(SetupAbort, match="dependent-query"):
             r.respond(BitString(4, 0b0011))
-        with pytest.raises(DependentQueryError):
+        with pytest.raises(SetupAbort, match="dependent-query"):
             r.respond(BitString(4, 0b0000))
         r.respond(BitString(4, 0b0101))
-        with pytest.raises(DependentQueryError):
+        with pytest.raises(SetupAbort, match="dependent-query"):
             r.respond(BitString(4, 0b0110))  # xor of the first two
         r.respond(BitString(4, 0b1000))
         assert r.finished
@@ -261,7 +260,7 @@ class TestReducedRowsSolve:
             q.take_response(r.respond(query))
             sent.append(query.to_int())
         combo = sent[0] ^ sent[2] ^ sent[5]
-        with pytest.raises(DependentQueryError):
+        with pytest.raises(SetupAbort, match="dependent-query"):
             r.respond(BitString(m, combo))
         # the refused query left the respondent's state untouched
         while not q.finished:

@@ -6,10 +6,11 @@ package besides its own definition.  Every public module-level function and
 class has a caller in the system: the package, the benchmark, the console
 script, or the acceptance criteria.  No module under `bsme/app/` imports the
 protocol math (`hashing`, `gf2`, `ihash`, `subsets`), and no module outside
-it imports `app` or any module in it.  There is no linter in
-the toolchain, so this walks each module's syntax tree.  Package `__init__`
-files are skipped by the import check, since importing to re-export is their
-job.
+it imports `app` or any module in it.  The protocol modules (`commit`, `ot`,
+`ihash`) define no exception class, so every refusal is a `SetupAbort`.
+There is no linter in the toolchain, so this walks each module's syntax
+tree.  Package `__init__` files are skipped by the import check, since
+importing to re-export is their job.
 """
 
 import ast
@@ -108,6 +109,40 @@ def test_checker_sees_app_imports():
         "from . import channel\nfrom .reasons import ResultMsg\n"
     )
     assert imported_modules(tree) & APP == {"app", "framing", "cli", "channel"}
+
+
+# A party refuses with `SetupAbort(reason)` and nothing else.
+REFUSING = ("commit.py", "ot.py", "ihash.py")
+
+
+def exception_classes(tree: ast.Module) -> set[str]:
+    """Classes whose base is named like an exception (`...Error`,
+    `...Exception`, `...Abort`) or is such a class defined earlier."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            bases = {getattr(b, "id", getattr(b, "attr", "")) for b in node.bases}
+            if bases & found or any(re.search(r"(Error|Exception|Abort)$", b) for b in bases):
+                found.add(node.name)
+    return found
+
+
+@pytest.mark.parametrize("name", REFUSING)
+def test_protocols_define_no_exception(name):
+    defined = exception_classes(ast.parse((SRC / name).read_text(encoding="utf-8")))
+    assert not defined, f"{name} defines exception classes: {sorted(defined)}"
+
+
+def test_checker_sees_exception_classes():
+    tree = ast.parse(
+        "class Refusal(SetupAbort):\n    pass\n"
+        "class Worse(Refusal):\n    pass\n"
+        "class Odd(errors.ProtocolError, Mixin):\n    pass\n"
+        "class Plain(BaseException):\n    pass\n"
+        "@dataclass\nclass Outcome(Base):\n    ok: bool\n"
+        "class Message:\n    pass\n"
+    )
+    assert exception_classes(tree) == {"Refusal", "Worse", "Odd", "Plain"}
 
 
 def private_definitions(tree: ast.Module) -> dict[str, int]:

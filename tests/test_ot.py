@@ -39,7 +39,7 @@ class TestHonest:
     def test_round_count_matches_encoding_length(self):
         assert PARAMS.m == 2 * PARAMS.ell * math.ceil(math.log2(PARAMS.k))
         out = runner.run_ot_session(PARAMS, seed=3)
-        queries = [f for _, f in out.transcript if f[0] == framing.TAGS[framing.IHQuery]]
+        queries = [f for _, f in out.transcript if f[0] == framing.TAGS[IHQuery]]
         assert len(queries) == PARAMS.m - 1
 
     def test_noise_free_code(self):
