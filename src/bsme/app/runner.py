@@ -17,7 +17,9 @@ party's own that refuses the peer's data: in one place, which sends the
 closing frame (the party's failed result if the abort is marked
 ``reported``, else an abort), reads until the peer closes, and reports the
 reason.  A peer's abort ends the party without a reply.  Any other exception
-is a bug and propagates to the caller.
+is a bug and propagates to the caller.  A closing frame that claims ok
+against its own type or bit (an abort with reason ok, or a result with reason
+ok and its ok bit clear) is refused as a malformed message.
 
 A party's result is a dict whose ``reason`` is the one record of how it
 ended: ``Reason.OK`` on success, and then its output (``opened`` or
@@ -111,8 +113,10 @@ def _play(chan, party, pair: SourcePair) -> dict:
                 msg = decode_message(chan.recv())
             except FrameError:
                 msg = None
-            if isinstance(msg, AbortMsg):
+            if isinstance(msg, AbortMsg) and msg.reason is not Reason.OK:
                 return {"reason": msg.reason}
+            if isinstance(msg, ResultMsg) and not msg.ok and msg.reason is Reason.OK:
+                msg = None  # claims ok against its own bit
             if isinstance(msg, step):
                 step = game.send(msg)
             else:

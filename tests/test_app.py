@@ -451,6 +451,7 @@ HOSTILE_SEED = 11
 _PADDED = bytes.fromhex("06 00000001 00000003 ff".replace(" ", ""))  # padding bits set
 _SHORT_QUERY = encode_message(IHQuery(BitString(3, 5)))
 _PEER_ABORT = encode_message(AbortMsg(Reason.DIGEST_MISMATCH))
+_PEER_ABORT_OK = encode_message(AbortMsg(Reason.OK))  # an abort that claims success
 
 
 def _honest_peer_frames(role):
@@ -470,6 +471,8 @@ def _bad_frame(kind, honest):
         return encode_message(IHResponse(0) if honest[0] == framing.TAGS[EBit] else EBit(0))
     if kind == "short-query":
         return _SHORT_QUERY
+    if kind == "peer-abort-ok":
+        return _PEER_ABORT_OK
     return _PEER_ABORT
 
 
@@ -517,7 +520,8 @@ class TestHostilePeer:
         assert out["reason"] is not Reason.OK
         return out, sent
 
-    @pytest.mark.parametrize("kind", ["padding", "wrong-type", "short-query", "peer-abort"])
+    @pytest.mark.parametrize(
+        "kind", ["padding", "wrong-type", "short-query", "peer-abort", "peer-abort-ok"])
     @pytest.mark.parametrize("role,step", CASES)
     def test_bad_frame_ends_in_named_reason(self, role, step, kind):
         honest = _honest_peer_frames(role)
@@ -592,18 +596,22 @@ class TestHostilePeer:
         ok = encode_message(ResultMsg(True, Reason.OK, BitString.zeros(0)))
         assert closings == {0: {ok}, 1: {ok}}
 
-    @pytest.mark.parametrize("role,reason", [("committer", Reason.DIGEST_MISMATCH),
-                                             ("sender", Reason.DECODE_FAILURE)],
-                             ids=["committer", "sender"])
-    def test_contradictory_result_reports_only_its_reason(self, role, reason):
-        # A closing result with its ok bit set beside a failure reason: the
-        # party reports that failure, and no output beside it.
+    @pytest.mark.parametrize("role,ok,reason,reported", [
+        ("committer", True, Reason.DIGEST_MISMATCH, Reason.DIGEST_MISMATCH),
+        ("sender", True, Reason.DECODE_FAILURE, Reason.DECODE_FAILURE),
+        ("committer", False, Reason.OK, Reason.MALFORMED_MESSAGE),
+        ("sender", False, Reason.OK, Reason.MALFORMED_MESSAGE),
+    ], ids=["committer", "sender", "committer-false-ok", "sender-false-ok"])
+    def test_contradictory_result_reports_only_its_reason(self, role, ok, reason, reported):
+        # A closing result whose ok bit contradicts its reason.  A failure
+        # reason is reported as it stands; an ok reason beside a clear bit is
+        # refused as malformed.  Either way no output is reported beside it.
         honest = _honest_peer_frames(role)
-        lying = ResultMsg(True, reason, decode_message(honest[-1]).value)
+        lying = ResultMsg(ok, reason, decode_message(honest[-1]).value)
         out, _ = self._run(role, honest[:-1] + [encode_message(lying)])
         inputs = {"value", "secrets"}
         assert {k: v for k, v in out.items() if k not in inputs and v is not None} == {
-            "reason": reason}
+            "reason": reported}
 
     def test_refused_hash_aborts_committer(self):
         # A well-formed HashDesc whose diagonal does not fit k and the digest length
