@@ -126,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rates(p, gamma_default=0.25)
     p.add_argument("--ell", type=int, default=16, help="overlap requirement")
     p.add_argument("--zeta", type=float, default=0.05, help="distance-check slack rate")
-    p.add_argument("--tau", type=float, default=None, help="sampling slack rate")
-    p.add_argument("--omega", type=float, default=None, help="digest rate")
     p.add_argument("--value", type=_bits_arg, default=None, help="value to commit, e.g. 0101")
     _add_transport(p, ("committer", "verifier"))
     p.set_defaults(func=cmd_commit)
@@ -137,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     # 14 is the C05 point: Hamming(7,4) blocks fit it at the default noise.
     p.add_argument("--ell", type=int, default=14, help="overlap requirement")
     p.add_argument("--xi", type=float, default=0.05, help="decoding slack rate")
-    p.add_argument("--tau", type=float, default=None, help="sampling slack rate")
-    p.add_argument("--m-f", type=float, default=None, help="payload rate")
-    p.add_argument("--eps-hat", type=float, default=0.25, help="abort probability budget")
     p.add_argument("--code", choices=("auto",) + tuple(_CODES), default="auto")
     p.add_argument("--choice", type=int, choices=(0, 1), default=None)
     p.add_argument("--s0", type=_bits_arg, default=None, help="first secret")
@@ -220,7 +215,7 @@ def _params_dict(params) -> dict:
 def cmd_commit(args) -> int:
     params = derive_commit_params(
         n=args.n, ell=args.ell, alpha=args.alpha, gamma=args.gamma,
-        delta=args.delta, zeta=args.zeta, tau=args.tau, omega=args.omega,
+        delta=args.delta, zeta=args.zeta,
     )
     if args.role or args.listen or args.connect:
         return _network_party(args, lambda chan: commit_party(
@@ -264,8 +259,7 @@ def _pick_code(args) -> LinearCode:
 def cmd_ot(args) -> int:
     params = derive_ot_params(
         n=args.n, ell=args.ell, code=_pick_code(args), alpha=args.alpha,
-        gamma=args.gamma, delta=args.delta, xi=args.xi, tau=args.tau, m_f=args.m_f,
-        eps_hat=args.eps_hat,
+        gamma=args.gamma, delta=args.delta, xi=args.xi,
     )
     secrets = None
     if (args.s0 is None) != (args.s1 is None):

@@ -243,9 +243,10 @@ class CommitParams:
     """Validated commitment parameters.
 
     Derived fields: k is the per-party sample size, rho the residual entropy
-    rate, k_e = floor((rho - 3*tau - omega) * k) the extractable bits,
-    m = floor((1 - psi_ext) * k_e) the committed-string length, and
-    digest_len = floor(omega * k) the hash digest length.
+    rate, tau and omega the sampling slack and digest rate (see
+    `derive_commit_params`), k_e = floor((rho - 3*tau - omega) * k) the
+    extractable bits, m = floor((1 - psi_ext) * k_e) the committed-string
+    length, and digest_len = floor(omega * k) the hash digest length.
     """
 
     n: int
@@ -290,33 +291,18 @@ def derive_commit_params(
     gamma: float = 0.25,
     delta: float = 0.0,
     zeta: float = 0.05,
-    tau: float | None = None,
-    omega: float | None = None,
 ) -> CommitParams:
+    """Derive `CommitParams`.  tau and omega are not inputs: with
+    gap = rho - 2*h(delta+zeta), tau = gap/32 and omega = 2*h(delta+zeta) + tau."""
     k, r = _sample_and_rate(n, ell, alpha, gamma)
     if not (0.0 <= delta and 0.0 < zeta and delta + zeta < 0.5):
         raise ParameterError("0 <= delta, 0 < zeta, delta + zeta < 1/2")
     noise_term = 2.0 * binary_entropy(delta + zeta)
-    if tau is None or omega is None:
-        if not noise_term < r:
-            raise ParameterError(
-                "2*h(delta+zeta) < rho", f"2h={noise_term:.6f}, rho={r:.6f}"
-            )
-        gap = r - noise_term
-        if tau is None:
-            tau = gap / 32.0
-        if omega is None:
-            omega = noise_term + gap / 32.0
-    if not 0.0 < tau <= r / 3.0:
-        raise ParameterError("0 < tau <= rho/3", f"tau={tau}, rho/3={r / 3.0:.6f}")
-    if not omega < r - 3.0 * tau:
-        raise ParameterError(
-            "omega < rho - 3*tau", f"omega={omega}, rho-3tau={r - 3.0 * tau:.6f}"
-        )
-    if not noise_term < omega:
-        raise ParameterError(
-            "2*h(delta+zeta) < omega", f"2h={noise_term:.6f}, omega={omega}"
-        )
+    if not noise_term < r:
+        raise ParameterError("2*h(delta+zeta) < rho", f"2h={noise_term:.6f}, rho={r:.6f}")
+    # gap > 0 gives 0 < tau <= rho/32, 2h < omega and omega + 3*tau = 2h + gap/8 < rho.
+    tau = (r - noise_term) / 32.0
+    omega = noise_term + tau
     k_e = floor_tol((r - 3.0 * tau - omega) * k)
     if not k_e >= 1:
         raise ParameterError("k_E >= 1", f"k_E={k_e}")

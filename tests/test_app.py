@@ -4,6 +4,7 @@ import random
 import shlex
 import socket
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -419,6 +420,43 @@ class TestRunner:
         assert results["verifier"]["reason"] is Reason.OK
         assert results["verifier"]["opened"] == BitString(COMMIT_PARAMS.m, 1)
 
+    def test_tcp_parties_match_in_process(self):
+        # listen_channel and connect_channel over a real loopback port
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]
+        results = {}
+
+        def dial():
+            for _ in range(100):
+                try:
+                    return channel.connect_channel("127.0.0.1", port)
+                except ConnectionRefusedError:
+                    time.sleep(0.05)
+            raise ConnectionRefusedError(f"nothing listens on port {port}")
+
+        def run(role, open_channel):
+            chan = open_channel()
+            try:
+                results[role] = runner.commit_party(role, chan, COMMIT_PARAMS, seed=9)
+            finally:
+                chan.close()
+
+        threads = [
+            threading.Thread(target=run, daemon=True, args=(
+                "verifier", lambda: channel.listen_channel("127.0.0.1", port))),
+            threading.Thread(target=run, daemon=True, args=("committer", dial)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        ref = runner.run_commit_session(COMMIT_PARAMS, seed=9)
+        assert ref.reason is Reason.OK
+        assert results["committer"]["reason"] is results["verifier"]["reason"] is ref.reason
+        assert results["committer"]["value"] == ref.value
+        assert results["verifier"]["opened"] == ref.opened == ref.value
+
     def test_cross_host_ot_matches_in_process(self):
         # Both halves derive the same default secrets as the in-process run
         # when only the choice is given.
@@ -733,16 +771,19 @@ class TestCLI:
         assert doc2["value"] == direct["value"]
         assert doc2["value"] != doc["value"]
 
-    @pytest.mark.parametrize("line, offending", [
-        ("--gama 0.5", "--gama"),  # misspelt
-        ("--trials 5", "--trials"),  # another subcommand's flag
-        ("n 512", "n 512"),  # not a flag
-    ], ids=["misspelt", "other-subcommand", "not-a-flag"])
-    def test_argument_file_refusals(self, tmp_path, capsys, line, offending):
+    @pytest.mark.parametrize("command, line, offending", [
+        ("commit", "--gama 0.5", "--gama"),  # misspelt
+        ("commit", "--trials 5", "--trials"),  # another subcommand's flag
+        ("commit", "n 512", "n 512"),  # not a flag
+        # tau, omega and m_F are derived, not flags
+        ("commit", "--omega 0.3", "--omega"),
+        ("ot", "--m-f 0.1", "--m-f"),
+    ], ids=["misspelt", "other-subcommand", "not-a-flag", "commit-omega", "ot-m-f"])
+    def test_argument_file_refusals(self, tmp_path, capsys, command, line, offending):
         cfg = tmp_path / "bad.args"
         cfg.write_text(f"--n 512 --ell 8\n{line}\n")
         with pytest.raises(SystemExit) as info:
-            cli.main(["commit", f"@{cfg}"])
+            cli.main([command, f"@{cfg}"])
         assert info.value.code == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert offending in captured.err
@@ -792,13 +833,16 @@ class TestCLI:
             assert argv[1] in captured.err and value in captured.err
             assert captured.out == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["commit", "--n", "512", "--ell", "8", "--role", "verifier"],
-        ["ot", "--role", "receiver"],
-        ["ot", "--listen", "127.0.0.1:9", "--connect", "127.0.0.1:9", "--role", "sender"],
-        ["commit", "--n", "512", "--ell", "8", "--connect", "127.0.0.1:9"],
-    ], ids=["commit-role-alone", "ot-role-alone", "both-addresses", "address-alone"])
-    def test_network_flags_go_together(self, monkeypatch, capsys, argv):
+    @pytest.mark.parametrize("argv, named", [
+        (["commit", "--n", "512", "--ell", "8", "--role", "verifier"], "--listen"),
+        (["ot", "--role", "receiver"], "--listen"),
+        (["ot", "--listen", "127.0.0.1:9", "--connect", "127.0.0.1:9", "--role", "sender"],
+         "--listen"),
+        (["commit", "--n", "512", "--ell", "8", "--connect", "127.0.0.1:9"], "--listen"),
+        (["ot", "--s0", "1"], "pass both --s0 and --s1"),
+    ], ids=["commit-role-alone", "ot-role-alone", "both-addresses", "address-alone",
+            "s0-alone"])
+    def test_network_flags_go_together(self, monkeypatch, capsys, argv, named):
         def no_socket(*args):
             raise AssertionError("a socket was opened")
 
@@ -810,7 +854,7 @@ class TestCLI:
             code = exit_.code
         assert code == cli.EXIT_USAGE
         captured = capsys.readouterr()
-        assert "--listen" in captured.err
+        assert named in captured.err
         assert captured.out == ""
 
     def test_nan_rate_exits_usage(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -188,26 +189,8 @@ class TestDeriveCommit:
         assert p.delta == 0.0
         assert p.m >= 1 and p.digest_len >= 1 and p.ell <= p.k <= p.n
 
-    def test_explicit_rates_respected(self):
-        p = derive_commit_params(n=4096, ell=16, delta=0.0, zeta=0.01,
-                                 tau=0.01, omega=0.3)
-        assert p.tau == 0.01 and p.omega == 0.3
-        assert p.k_e == math.floor((p.rho - 0.03 - 0.3) * 512 + 1e-9)
-
-    def test_requirement_omega_headroom(self):
-        with pytest.raises(ParameterError) as info:
-            derive_commit_params(n=4096, ell=16, delta=0.02, zeta=0.05,
-                                 tau=0.05, omega=0.9)
-        assert info.value.requirement == "omega < rho - 3*tau"
-
-    def test_requirement_omega_covers_noise(self):
-        with pytest.raises(ParameterError) as info:
-            derive_commit_params(n=4096, ell=16, delta=0.02, zeta=0.05,
-                                 tau=0.05, omega=0.35)
-        assert info.value.requirement == "2*h(delta+zeta) < omega"
-
     def test_requirement_auto_gap(self):
-        # auto tau/omega need headroom between rho and the noise term
+        # the derived tau/omega need headroom between rho and the noise term
         with pytest.raises(ParameterError) as info:
             derive_commit_params(n=4096, ell=16, gamma=0.25, delta=0.08, zeta=0.05)
         assert info.value.requirement == "2*h(delta+zeta) < rho"
@@ -228,24 +211,41 @@ class TestDeriveCommit:
             derive_commit_params(n=4096, ell=16, delta=0.3, zeta=0.2)
         assert "delta + zeta < 1/2" in info.value.requirement
 
-    def test_requirement_tau_band(self):
-        with pytest.raises(ParameterError) as info:
-            derive_commit_params(n=4096, ell=16, tau=0.5, omega=0.2)
-        assert info.value.requirement == "0 < tau <= rho/3"
-
-    def test_requirement_extractable(self):
-        # omega eats nearly the whole budget: k_E = 0
-        with pytest.raises(ParameterError) as info:
-            derive_commit_params(n=4096, ell=16, delta=0.0, zeta=0.05,
-                                 tau=0.001, omega=0.7375)
-        assert info.value.requirement == "k_E >= 1"
-
     def test_requirement_rho_positive(self):
         with pytest.raises(ParameterError) as info:
             derive_commit_params(n=256, ell=4, alpha=0.3, gamma=0.2)
         assert info.value.requirement == "rho > 0"
 
-    @pytest.mark.parametrize("name", ["alpha", "gamma", "delta", "zeta", "tau", "omega"])
+    @pytest.mark.parametrize("zeta,gamma,requirement", [
+        (0.037, 0.0, "k_E >= 1"),
+        (0.033, 0.0, "m >= 1"),
+        (0.001, 0.25, "floor(omega*k) >= 1"),
+    ], ids=["k_E", "m", "digest"])
+    def test_requirement_at_derived_point(self, zeta, gamma, requirement):
+        # a small sample leaves too few bits after the derived split
+        with pytest.raises(ParameterError) as info:
+            derive_commit_params(n=64, ell=4, gamma=gamma, delta=0.0, zeta=zeta)
+        assert info.value.requirement == requirement
+
+    def test_split_meets_inequalities(self):
+        # The derivation checks none of these: the split must meet them at
+        # every point it derives.
+        derived = 0
+        for n, ell, alpha, gamma, delta, zeta in itertools.product(
+                (64, 256, 1024, 4096, 16384, 65536), (4, 8, 16, 32), (0.5, 0.75, 1.0),
+                (0.0, 0.1, 0.25, 0.4), (0.0, 0.01, 0.02, 0.04), (0.001, 0.01, 0.05, 0.1)):
+            try:
+                p = derive_commit_params(n=n, ell=ell, alpha=alpha, gamma=gamma,
+                                         delta=delta, zeta=zeta)
+            except ParameterError:
+                continue
+            derived += 1
+            noise = 2.0 * binary_entropy(delta + zeta)
+            assert 0.0 < p.tau <= p.rho / 3.0, p
+            assert noise < p.omega < p.rho - 3.0 * p.tau, p
+        assert derived >= 1000
+
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "delta", "zeta"])
     def test_nan_refused(self, name):
         with pytest.raises(ParameterError):
             derive_commit_params(n=4096, ell=16, **{name: math.nan})
