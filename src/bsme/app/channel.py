@@ -1,15 +1,15 @@
-"""Byte channels carrying whole frames, with optional transcript capture.
+"""Byte channels carrying whole frames.
 
-Both transports deliver the same frames in the same causal order, so a
-session transcript is byte-identical whichever one carries it.  Transcript
-entries are (sender label, frame bytes) appended at send time under a lock.
+A channel only carries frames: ``send``, ``recv`` and ``close``.  Both
+transports deliver the same frames in the same causal order, so a session
+transcript, which the runner records as it sends each frame, is
+byte-identical whichever one carries it.
 """
 
 from __future__ import annotations
 
 import queue
 import socket
-import threading
 
 from .framing import read_frame
 
@@ -30,38 +30,17 @@ class ChannelClosed(ConnectionError):
     pass
 
 
-class _Recorder:
-    def __init__(self, label: str | None, transcript: list | None, lock: threading.Lock):
-        self.label = label
-        self._transcript = transcript
-        self._lock = lock
-
-    def record(self, data: bytes) -> None:
-        if self._transcript is not None:
-            with self._lock:
-                self._transcript.append((self.label, data))
-
-
-class MemoryChannel(_Recorder):
+class MemoryChannel:
     """One endpoint of an in-process duplex pipe.  Close sends an empty
     sentinel so a peer blocked in recv fails fast instead of hanging."""
 
-    def __init__(
-        self,
-        inbox: queue.SimpleQueue,
-        outbox: queue.SimpleQueue,
-        label: str,
-        transcript: list | None,
-        lock: threading.Lock,
-    ):
-        super().__init__(label, transcript, lock)
+    def __init__(self, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue):
         self._inbox = inbox
         self._outbox = outbox
 
     def send(self, data: bytes) -> None:
         if not data:
             raise ValueError("refusing to send an empty frame")
-        self.record(data)
         self._outbox.put(data)
 
     def recv(self) -> bytes:
@@ -77,25 +56,15 @@ class MemoryChannel(_Recorder):
         self._outbox.put(b"")
 
 
-def memory_pair(transcript: list | None = None) -> tuple[MemoryChannel, MemoryChannel]:
-    lock = threading.Lock()
+def memory_pair() -> tuple[MemoryChannel, MemoryChannel]:
     ab, ba = queue.SimpleQueue(), queue.SimpleQueue()
-    a = MemoryChannel(inbox=ba, outbox=ab, label="A", transcript=transcript, lock=lock)
-    b = MemoryChannel(inbox=ab, outbox=ba, label="B", transcript=transcript, lock=lock)
-    return a, b
+    return MemoryChannel(inbox=ba, outbox=ab), MemoryChannel(inbox=ab, outbox=ba)
 
 
-class StreamChannel(_Recorder):
+class StreamChannel:
     """Endpoint over a connected socket; frames are self-delimiting."""
 
-    def __init__(
-        self,
-        sock: socket.socket,
-        label: str | None = None,
-        transcript: list | None = None,
-        lock: threading.Lock | None = None,
-    ):
-        super().__init__(label, transcript, lock or threading.Lock())
+    def __init__(self, sock: socket.socket):
         self._sock = sock
         sock.settimeout(RECV_TIMEOUT)
 
@@ -114,7 +83,6 @@ class StreamChannel(_Recorder):
         return bytes(buf)
 
     def send(self, data: bytes) -> None:
-        self.record(data)
         try:
             self._sock.sendall(data)
         except OSError as exc:
@@ -131,14 +99,9 @@ class StreamChannel(_Recorder):
         self._sock.close()
 
 
-def socketpair_channels(
-    transcript: list | None = None,
-) -> tuple[StreamChannel, StreamChannel]:
-    lock = threading.Lock()
+def socketpair_channels() -> tuple[StreamChannel, StreamChannel]:
     sa, sb = socket.socketpair()
-    a = StreamChannel(sa, "A", transcript, lock)
-    b = StreamChannel(sb, "B", transcript, lock)
-    return a, b
+    return StreamChannel(sa), StreamChannel(sb)
 
 
 def listen_channel(host: str, port: int) -> StreamChannel:

@@ -5,10 +5,10 @@ flags separated by whitespace, ``#`` to the end of a line a comment; a flag
 after the file overrides it.
 
 Exit codes: 0 on success or acceptance; 1 when a session ends in reject or
-abort; 2 on usage errors, including parameters that ``derive_commit_params``
-or ``derive_ot_params`` refuse; 3 when ``feasibility`` finds the point
-infeasible for commitment, or an attack, lemma or self-test check misses its
-bound.
+abort, or a cross-host peer hangs up once connected; 2 on usage errors,
+including parameters that ``derive_commit_params`` or ``derive_ot_params``
+refuse; 3 when ``feasibility`` finds the point infeasible for commitment, or
+an attack, lemma or self-test check misses its bound.
 """
 
 from __future__ import annotations
@@ -294,13 +294,18 @@ def cmd_ot(args) -> int:
 
 
 def _network_party(args, party) -> int:
-    """Run ``party(chan)`` over the --listen or --connect channel and print its result."""
+    """Run ``party(chan)`` over the --listen or --connect channel and print its
+    result.  A failure to listen or connect is a usage error; a connection
+    lost once open aborts the session."""
     address = args.listen or args.connect
     if args.role is None or address is None:
         raise ValueError("--role needs --listen or --connect, and they need --role")
     chan = (listen_channel if args.listen else connect_channel)(*address)
     try:
         out = party(chan)
+    except ConnectionError as exc:
+        print(f"error: lost the peer on {address[0]}:{address[1]}: {exc}", file=sys.stderr)
+        return EXIT_REJECTED
     finally:
         chan.close()
     printable = {

@@ -11,15 +11,20 @@ the same broadcast and the same default inputs locally.
 
 Each party's message order lives in its ``play`` generator; ``_play`` carries
 any of them over a channel, framing what the party yields and reading what
-it waits for.  A frame that does not parse, or is of the wrong type, is
-thrown into the party as a `SetupAbort`, so it ends like a check of the
-party's own that refuses the peer's data: in one place, which sends the
-closing frame (the party's failed result if the abort is marked
-``reported``, else an abort), reads until the peer closes, and reports the
-reason.  A peer's abort ends the party without a reply.  Any other exception
-is a bug and propagates to the caller.  A closing frame that claims ok
-against its own type or bit (an abort with reason ok, or a result with reason
-ok and its ok bit clear) is refused as a malformed message.
+it waits for.  It is the one place frames are made, read and recorded: an
+in-process session appends (sender label, frame) to its transcript, under
+one lock per session, just before each send, the closing frame included; a
+cross-host party records nothing, and a channel only carries the bytes.
+
+A frame that does not parse, or is of the wrong type, is thrown into the
+party as a `SetupAbort`, so it ends like a check of the party's own that
+refuses the peer's data: in one place, which sends the closing frame (the
+party's failed result if the abort is marked ``reported``, else an abort),
+reads until the peer closes, and reports the reason.  A peer's abort ends
+the party without a reply.  Any other exception is a bug and propagates to
+the caller.  A closing frame that claims ok against its own type or bit (an
+abort with reason ok, or a result with reason ok and its ok bit clear) is
+refused as a malformed message.
 
 A party's result is a dict whose ``reason`` is the one record of how it
 ended: ``Reason.OK`` on success, and then its output (``opened`` or
@@ -49,7 +54,6 @@ __all__ = [
     "commit_party",
     "ot_party",
     "role_rng",
-    "build_source",
 ]
 
 JOIN_TIMEOUT = 60.0
@@ -57,10 +61,6 @@ JOIN_TIMEOUT = 60.0
 
 def role_rng(seed: int, role: str) -> random.Random:
     return random.Random(f"{seed}:{role}")
-
-
-def build_source(n: int, alpha: float, delta: float, seed: int) -> SourcePair:
-    return generate(SourceConfig(n=n, alpha=alpha, delta=delta, seed=f"{seed}:source"))
 
 
 @dataclass(frozen=True)
@@ -99,14 +99,18 @@ class OTOutcome:
 # carrying one party's play over a channel
 
 
-def _play(chan, party, pair: SourcePair) -> dict:
-    """Carry `party.play(pair)` over `chan`; on a refusal, report its reason."""
+def _play(chan, party, pair: SourcePair, record) -> dict:
+    """Carry `party.play(pair)` over `chan`, handing each frame to `record`
+    (if any) just before it is sent; on a refusal, report its reason."""
     game = party.play(pair)
     try:
         step = next(game)
         while True:
             if not isinstance(step, type):
-                chan.send(encode_message(step))
+                frame = encode_message(step)
+                if record:
+                    record(frame)
+                chan.send(frame)
                 step = next(game)
                 continue
             try:
@@ -126,7 +130,10 @@ def _play(chan, party, pair: SourcePair) -> dict:
     except SetupAbort as abort:
         reason = abort.reason
         failure = ResultMsg(False, reason, BitString.zeros(0))
-        chan.send(encode_message(failure if abort.reported else AbortMsg(reason)))
+        frame = encode_message(failure if abort.reported else AbortMsg(reason))
+        if record:
+            record(frame)
+        chan.send(frame)
     # The peer may still have frames in flight; read until it sees the
     # closing frame and closes, so our close does not reset its last send.
     try:
@@ -144,11 +151,12 @@ def _play(chan, party, pair: SourcePair) -> dict:
 def _commit_roles(params: CommitParams, seed: int, value: BitString | None):
     if value is None:
         value = BitString.random(params.m, role_rng(seed, "input"))
-    pair = build_source(params.n, params.alpha, params.delta, seed)
+    pair = generate(SourceConfig(params.n, params.alpha, params.delta, f"{seed}:source"))
     return value, {
-        "committer": lambda chan: _play(
-            chan, Committer(params, value, role_rng(seed, "alice")), pair),
-        "verifier": lambda chan: _play(chan, Verifier(params, role_rng(seed, "bob")), pair),
+        "committer": lambda chan, record: _play(
+            chan, Committer(params, value, role_rng(seed, "alice")), pair, record),
+        "verifier": lambda chan, record: _play(
+            chan, Verifier(params, role_rng(seed, "bob")), pair, record),
     }
 
 
@@ -166,13 +174,13 @@ def _ot_roles(
             BitString.random(params.payload_len, rng_in),
             BitString.random(params.payload_len, rng_in),
         )
-    pair = build_source(params.n, params.alpha, params.delta, seed)
+    pair = generate(SourceConfig(params.n, params.alpha, params.delta, f"{seed}:source"))
     s0, s1 = secrets
     return choice, secrets, {
-        "sender": lambda chan: _play(
-            chan, OTSender(params, s0, s1, role_rng(seed, "alice")), pair),
-        "receiver": lambda chan: _play(
-            chan, OTReceiver(params, choice, role_rng(seed, "bob")), pair),
+        "sender": lambda chan, record: _play(
+            chan, OTSender(params, s0, s1, role_rng(seed, "alice")), pair, record),
+        "receiver": lambda chan, record: _play(
+            chan, OTReceiver(params, choice, role_rng(seed, "bob")), pair, record),
     }
 
 
@@ -180,19 +188,32 @@ def _ot_roles(
 # in-process sessions
 
 
-def _run_pair(side_a, side_b, chan_a, chan_b) -> tuple[dict, dict]:
+_CHANNELS = {"memory": memory_pair, "socket": socketpair_channels}
+
+
+def _run_pair(side_a, side_b, transport: str, transcript: list) -> tuple[dict, dict]:
+    """Run side A and side B on their own threads over a new channel pair,
+    appending each frame to `transcript` under its sender's label as it is sent."""
+    if transport not in _CHANNELS:
+        raise ValueError(f"unknown transport {transport!r}")
+    lock = threading.Lock()
     results: dict[str, object] = {}
 
-    def wrap(name, fn, chan):
+    def wrap(label, side, chan):
+        def record(frame: bytes) -> None:
+            with lock:
+                transcript.append((label, frame))
+
         try:
-            results[name] = fn(chan)
+            results[label] = side(chan, record)
         except BaseException as exc:  # propagated after join
-            results[name] = exc
+            results[label] = exc
         finally:
             chan.close()
 
-    ta = threading.Thread(target=wrap, args=("a", side_a, chan_a), daemon=True)
-    tb = threading.Thread(target=wrap, args=("b", side_b, chan_b), daemon=True)
+    chan_a, chan_b = _CHANNELS[transport]()
+    ta = threading.Thread(target=wrap, args=("A", side_a, chan_a), daemon=True)
+    tb = threading.Thread(target=wrap, args=("B", side_b, chan_b), daemon=True)
     ta.start()
     tb.start()
     ta.join(JOIN_TIMEOUT)
@@ -205,15 +226,7 @@ def _run_pair(side_a, side_b, chan_a, chan_b) -> tuple[dict, dict]:
                     key=lambda exc: isinstance(exc, ChannelClosed))
     if errors:
         raise errors[0]
-    return results["a"], results["b"]  # type: ignore[return-value]
-
-
-def _make_channels(transport: str, transcript: list):
-    if transport == "memory":
-        return memory_pair(transcript)
-    if transport == "socket":
-        return socketpair_channels(transcript)
-    raise ValueError(f"unknown transport {transport!r}")
+    return results["A"], results["B"]  # type: ignore[return-value]
 
 
 def run_commit_session(
@@ -224,8 +237,7 @@ def run_commit_session(
 ) -> CommitOutcome:
     value, roles = _commit_roles(params, seed, value)
     transcript: list = []
-    chans = _make_channels(transport, transcript)
-    _, res_b = _run_pair(roles["committer"], roles["verifier"], *chans)
+    _, res_b = _run_pair(roles["committer"], roles["verifier"], transport, transcript)
     return CommitOutcome(
         value=value,
         reason=res_b["reason"],
@@ -243,8 +255,7 @@ def run_ot_session(
 ) -> OTOutcome:
     choice, secrets, roles = _ot_roles(params, seed, choice, secrets)
     transcript: list = []
-    chans = _make_channels(transport, transcript)
-    res_a, res_b = _run_pair(roles["sender"], roles["receiver"], *chans)
+    res_a, res_b = _run_pair(roles["sender"], roles["receiver"], transport, transcript)
     return OTOutcome(
         choice=choice,
         secrets=secrets,
@@ -274,7 +285,7 @@ def commit_party(
     """Run one side of a commitment over an established channel.  Both hosts
     must share seed and parameters so they regenerate the same broadcast."""
     value, roles = _commit_roles(params, seed, value)
-    out = _role(roles, role, "commit")(chan)
+    out = _role(roles, role, "commit")(chan, None)
     if role == "committer":
         out["value"] = value
     return out
@@ -290,7 +301,7 @@ def ot_party(
 ) -> dict:
     """Run one side of a transfer; see `commit_party`."""
     choice, secrets, roles = _ot_roles(params, seed, choice, secrets)
-    out = _role(roles, role, "transfer")(chan)
+    out = _role(roles, role, "transfer")(chan, None)
     if role == "sender":
         out["secrets"] = secrets
     else:

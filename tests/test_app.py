@@ -16,7 +16,7 @@ from bsme.codes import LinearCode
 from bsme.commit import CommitMessage, HashDesc, OpenMessage
 from bsme.infomath import derive_commit_params, derive_ot_params
 from bsme.ot import EBit, IHQuery, IHResponse, SetA, TransferPayload
-from bsme.reasons import Reason, ResultMsg
+from bsme.reasons import Reason, ResultMsg, SetupAbort
 from bsme.app import channel, cli, framing, runner
 from bsme.app.framing import (
     AbortMsg,
@@ -303,17 +303,8 @@ class TestChannels:
         with pytest.raises(ValueError):
             a.send(b"")
 
-    def test_transcript_records_at_send(self):
-        transcript = []
-        a, b = channel.memory_pair(transcript)
-        a.send(b"x")
-        b.send(b"y")
-        b.recv()  # order is fixed by send time, not receive time
-        assert transcript == [("A", b"x"), ("B", b"y")]
-
     def test_socketpair_roundtrip(self):
-        transcript = []
-        a, b = channel.socketpair_channels(transcript)
+        a, b = channel.socketpair_channels()
         try:
             frame = encode_message(EBit(1))
             a.send(frame)
@@ -321,10 +312,9 @@ class TestChannels:
         finally:
             a.close()
             b.close()
-        assert transcript == [("A", frame)]
 
     def test_stream_close_breaks_recv(self):
-        a, b = channel.socketpair_channels(None)
+        a, b = channel.socketpair_channels()
         a.close()
         with pytest.raises(ConnectionError):
             b.recv()
@@ -398,13 +388,33 @@ class TestRunner:
         assert digest(ot.transcript) == (
             "576e6af04bfce4d603658d9cffbef418cdd8451b0f85a5dd6cbbf59417c23ce6")
 
+    @pytest.mark.parametrize("party,method,reason,session", [
+        ("Verifier", "verify", Reason.DIGEST_MISMATCH,
+         lambda transport: runner.run_commit_session(COMMIT_PARAMS, seed=7, transport=transport)),
+        ("OTReceiver", "receive_payload", Reason.MALFORMED_MESSAGE,
+         lambda transport: runner.run_ot_session(OT_PARAMS, seed=7, transport=transport)),
+    ], ids=["commit", "transfer"])
+    def test_refused_transcript_ends_with_closing_frame(
+            self, monkeypatch, party, method, reason, session):
+        # The runner records the refusing party's closing frame as it sends it.
+        # (A refusal during the receiver's set-up races the sender's first query.)
+        def refuse(*args):
+            raise SetupAbort(reason)
+
+        monkeypatch.setattr(getattr(runner, party), method, refuse)
+        memory, socket_ = session("memory"), session("socket")
+        assert memory.reason is socket_.reason is reason
+        assert memory.transcript == socket_.transcript
+        closing = encode_message(ResultMsg(False, reason, BitString.zeros(0)))
+        assert memory.transcript[-1] == ("B", closing)
+
     def test_cross_host_parties_agree(self):
         # drive commit_party on both ends of one socket pair
         lhs, rhs = socket.socketpair()
         results = {}
 
         def run(role, sock):
-            chan = channel.StreamChannel(sock, role, None, threading.Lock())
+            chan = channel.StreamChannel(sock)
             try:
                 results[role] = runner.commit_party(
                     role, chan, COMMIT_PARAMS, seed=9,
@@ -460,8 +470,14 @@ class TestRunner:
     def test_cross_host_ot_matches_in_process(self):
         # Both halves derive the same default secrets as the in-process run
         # when only the choice is given.
-        transcript = []
-        chans = dict(zip(("sender", "receiver"), channel.socketpair_channels(transcript)))
+        chans = dict(zip(("sender", "receiver"), channel.socketpair_channels()))
+        transcript, lock = [], threading.Lock()
+        for label, chan in zip("AB", chans.values()):
+            def send(frame, label=label, send=chan.send):
+                with lock:
+                    transcript.append((label, frame))
+                send(frame)
+            chan.send = send
         results = {}
 
         def run(role):
@@ -539,9 +555,9 @@ class TestHostilePeer:
         """Run `role` against a peer that has sent `incoming` and closed;
         return the party's result and the messages it sent.  The party's
         inbox is unbounded, so the peer's frames all wait there before it
-        starts and no second thread is needed."""
-        transcript = []
-        mine, peer = channel.memory_pair(transcript)
+        starts and no second thread is needed; the party's own frames wait
+        in the peer's inbox until the party's end is closed."""
+        mine, peer = channel.memory_pair()
         for frame in incoming:
             peer.send(frame)
         peer.close()
@@ -549,7 +565,12 @@ class TestHostilePeer:
             out = runner.commit_party(role, mine, COMMIT_PARAMS, seed)
         else:
             out = runner.ot_party(role, mine, ot_params, seed, choice)
-        return out, [decode_message(frame) for label, frame in transcript if label == "A"]
+        mine.close()
+        sent = []
+        with pytest.raises(channel.ChannelClosed):
+            while True:
+                sent.append(decode_message(peer.recv()))
+        return out, sent
 
     @classmethod
     def _run(cls, role, incoming, seed=HOSTILE_SEED, choice=None):
@@ -704,6 +725,24 @@ class TestCLI:
             cli.main(["ot", "--n", "1024", "--ell", "14", "--code", "hamming",
                       "--listen", "127.0.0.1:99999", "--role", "sender"])
         assert info.value.code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("flag,role,sent", [
+        ("--listen", "verifier", b""),
+        ("--connect", "committer", bytes.fromhex("0100000001")),  # a header, then nothing
+    ], ids=["closed", "cut-frame"])
+    def test_peer_hangup_aborts_session(self, monkeypatch, capsys, flag, role, sent):
+        # once the channel is open, a peer that hangs up ends the session (exit 1), not usage
+        near, far = socket.socketpair()
+        far.sendall(sent)
+        far.close()
+        opened = lambda host, port: channel.StreamChannel(near)
+        monkeypatch.setattr(cli, "listen_channel", opened)
+        monkeypatch.setattr(cli, "connect_channel", opened)
+        code = cli.main(["commit", "--n", "512", "--ell", "8", flag, "127.0.0.1:9",
+                         "--role", role])
+        assert code == cli.EXIT_REJECTED
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "127.0.0.1:9" in err
 
     def test_bare_ot_completes(self, capsys):
         # the transfer's own ell default derives a stock code at the default noise

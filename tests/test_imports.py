@@ -6,11 +6,12 @@ package besides its own definition.  Every public module-level function and
 class has a caller in the system: the package, the benchmark, the console
 script, or the acceptance criteria.  No module under `bsme/app/` imports the
 protocol math (`hashing`, `gf2`, `ihash`, `subsets`), and no module outside
-it imports `app` or any module in it.  The protocol modules (`commit`, `ot`,
-`ihash`) define no exception class, so every refusal is a `SetupAbort`.
-There is no linter in the toolchain, so this walks each module's syntax
-tree.  Package `__init__` files are skipped by the import check, since
-importing to re-export is their job.
+it imports `app` or any module in it.  Outside `app/framing.py`, only
+`app/runner.py` names `encode_message` or `decode_message`.  The protocol
+modules (`commit`, `ot`, `ihash`) define no exception class, so every
+refusal is a `SetupAbort`.  There is no linter in the toolchain, so this
+walks each module's syntax tree.  Package `__init__` files are skipped by
+the import check, since importing to re-export is their job.
 """
 
 import ast
@@ -22,6 +23,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bsme"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+def package_trees() -> dict[str, ast.Module]:
+    """Every module of the package, `__init__` files included, by path under `bsme/`."""
+    return {
+        str(p.relative_to(SRC)): ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted(SRC.rglob("*.py"))
+    }
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -111,6 +120,33 @@ def test_checker_sees_app_imports():
     assert imported_modules(tree) & APP == {"app", "framing", "cli", "channel"}
 
 
+# Frames are made, read and recorded in one module: the runner.
+FRAMING = {"encode_message", "decode_message"}
+
+
+def framing_users(trees: dict[str, ast.Module]) -> set[str]:
+    """Modules other than `app/framing.py` that name a frame codec, by
+    import, call or attribute."""
+    return {
+        where for where, tree in trees.items()
+        if where != "app/framing.py" and referenced_names(tree) & FRAMING
+    }
+
+
+def test_only_the_runner_frames():
+    assert framing_users(package_trees()) == {"app/runner.py"}
+
+
+def test_checker_sees_framing_users():
+    trees = {
+        "app/framing.py": ast.parse("def encode_message(m):\n    return decode_message(m)\n"),
+        "app/runner.py": ast.parse("from .framing import encode_message\n"),
+        "app/channel.py": ast.parse("from . import framing\nframing.decode_message(b'')\n"),
+        "app/cli.py": ast.parse("from .framing import read_frame\nread_frame(f)\n"),
+    }
+    assert framing_users(trees) == {"app/runner.py", "app/channel.py"}
+
+
 # A party refuses with `SetupAbort(reason)` and nothing else.
 REFUSING = ("commit.py", "ot.py", "ihash.py")
 
@@ -184,11 +220,7 @@ def dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
 
 
 def test_no_dead_private_helpers():
-    trees = {
-        str(p.relative_to(SRC)): ast.parse(p.read_text(encoding="utf-8"))
-        for p in sorted(SRC.rglob("*.py"))
-    }
-    dead = dead_private_names(trees)
+    dead = dead_private_names(package_trees())
     assert not dead, f"private names nothing in bsme references: {dead}"
 
 
@@ -256,10 +288,7 @@ def dead_public_names(trees: dict[str, ast.Module], outside: set[str]) -> list[s
 def test_no_public_names_only_tests_reach():
     """Methods are out of scope: a name-based check cannot tell them apart
     where names collide (`row`, `bit`, `support`), so it would pass dead ones."""
-    trees = {
-        str(p.relative_to(SRC)): ast.parse(p.read_text(encoding="utf-8"))
-        for p in sorted(SRC.rglob("*.py"))
-    }
+    trees = package_trees()
     callers = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "bench").rglob("*.py"))]
     callers.append(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
     # console scripts: `name = "module:function"` under [project.scripts]
