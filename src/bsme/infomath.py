@@ -55,6 +55,10 @@ __all__ = [
 PSI_EXT = 0.1
 # eps_prime: the smoothing error charged to rho, log2(1/eps_prime) bits.
 EPS_PRIME = 2.0**-32
+# ih_slack: the bits the transfer's subset encoding carries beyond
+# ceil(log2 C(k, ell)), so an honest encoding is invalid with probability
+# below 2**-IH_SLACK.
+IH_SLACK = 40
 # zeta_ih: the share of the tail log2(1/(eps_prime + eps_dprime)) that the
 # transfer's interactive-hashing target exponent t gives up.
 ZETA_IH = 0.5
@@ -325,9 +329,11 @@ class OTParams:
 
     ``code`` is the per-block linear code used by the fuzzy extractor; its
     rate enters k_f.  Derived fields: k is the per-party sample size, m the
-    subset-encoding length 2*ell*ceil(log2(k)), t the interactive-hashing
-    target exponent, k_f the sender-privacy entropy margin, p_len the helper
-    string length, payload_len = floor(m_f * ell) the secret length.
+    subset-encoding length ceil(log2(C(k, ell))) + ih_slack (the dense
+    encoding's invalid fraction is then below 2**-ih_slack), t the
+    interactive-hashing target exponent, k_f the sender-privacy entropy
+    margin, p_len the helper string length, payload_len = floor(m_f * ell)
+    the secret length.
     """
 
     n: int
@@ -337,6 +343,7 @@ class OTParams:
     delta: float
     xi: float
     zeta_ih: float
+    ih_slack: int
     tau: float
     m_f: float
     eps_prime: float
@@ -404,16 +411,16 @@ def derive_ot_params(
     k_f = r + float(rate) - 3.0 * tau - 2.0 * m_f - 1.0 - hat_term
     if not k_f > 0.0:
         raise ParameterError("k_F > 0", f"k_F={k_f:.6f}")
-    m = 2 * ell * math.ceil(math.log2(k))
+    m = (math.comb(k, ell) - 1).bit_length() + IH_SLACK
     nu = tau / math.log2(1.0 / tau)
     eps_dprime = math.exp(-ell * nu * nu / 2.0)
     tail = math.log2(1.0 / (EPS_PRIME + eps_dprime)) if EPS_PRIME + eps_dprime < 1.0 else 0.0
-    t = m - math.ceil(ZETA_IH * max(0.0, tail))
-    t = max(0, min(m, t))
+    # ZETA_IH * tail <= log2(1/EPS_PRIME) / 2 = 16 < IH_SLACK <= m, so 0 < t <= m.
+    t = m - math.ceil(ZETA_IH * tail)
     p_len = (ell // code.length) * (code.length - code.dimension)
     return OTParams(
         n=n, ell=ell, alpha=alpha, gamma=gamma, delta=delta, xi=xi,
-        zeta_ih=ZETA_IH, tau=tau, m_f=m_f, eps_prime=EPS_PRIME, eps_hat=eps_hat,
-        code=code, k=k, rho=r, rate=rate, m=m, t=t, k_f=k_f,
+        zeta_ih=ZETA_IH, ih_slack=IH_SLACK, tau=tau, m_f=m_f, eps_prime=EPS_PRIME,
+        eps_hat=eps_hat, code=code, k=k, rho=r, rate=rate, m=m, t=t, k_f=k_f,
         eps_dprime=eps_dprime, p_len=p_len, payload_len=payload_len,
     )

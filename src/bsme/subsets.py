@@ -37,14 +37,22 @@ def subset_unrank(r: int, k: int, ell: int) -> tuple[int, ...]:
         raise ValueError("need 0 <= ell <= k")
     if not 0 <= r < comb(k, ell):
         raise ValueError("rank out of range")
+    # Digit j is the largest c below the previous digit with C(c, j) <= r;
+    # C(j-1, j) = 0, so a binary search over [j-1, previous) finds it.
     out = []
-    c = k - 1
+    top = k
     for j in range(ell, 0, -1):
-        while comb(c, j) > r:
-            c -= 1
-        out.append(c)
-        r -= comb(c, j)
-        c -= 1
+        lo, hi, below = j - 1, top - 1, 0
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            v = comb(mid, j)
+            if v <= r:
+                lo, below = mid, v
+            else:
+                hi = mid - 1
+        out.append(lo)
+        r -= below
+        top = lo
     return tuple(reversed(out))
 
 

@@ -28,6 +28,7 @@ from bsme.harness import (
 from bsme.hashing import seed_length
 from bsme.ihash import Respondent, solve_pair
 from bsme.infomath import (
+    IH_SLACK,
     commit_delta_threshold,
     derive_commit_params,
     derive_ot_params,
@@ -140,7 +141,7 @@ def test_c04_hiding_exact():
 def test_c05_ot_honest_runs():
     t0 = time.perf_counter()
     p = OT_PARAMS
-    assert p.m == 2 * p.ell * math.ceil(math.log2(p.k))
+    assert p.m == (math.comb(p.k, p.ell) - 1).bit_length() + IH_SLACK
     sessions = 500
     tally = {"correct": 0, "wrong": 0, "abort": 0}
     for seed in range(sessions):

@@ -384,9 +384,9 @@ class TestRunner:
         assert len(commit.transcript) == 4
         assert digest(commit.transcript) == (
             "61ce4cfb260312842340e76f76407d095c53abdad5508356d2aee4092bc39122")
-        assert len(ot.transcript) == 450
+        assert len(ot.transcript) == 230
         assert digest(ot.transcript) == (
-            "576e6af04bfce4d603658d9cffbef418cdd8451b0f85a5dd6cbbf59417c23ce6")
+            "317d5de15b06c0013d9ccdb2be9745f1a791c46fde4d5a40686feb11579178e6")
 
     @pytest.mark.parametrize("party,method,reason,session", [
         ("Verifier", "verify", Reason.DIGEST_MISMATCH,
@@ -502,6 +502,9 @@ class TestRunner:
 
 
 HOSTILE_SEED = 11
+# A transfer point whose interactive hashing is 224 bits long, the length the
+# hostile-peer cases and their receive-step ids are written for.
+HOSTILE_OT = derive_ot_params(n=10240, ell=28, code=LinearCode.hamming_7_4(), delta=0.0)
 _PADDED = bytes.fromhex("06 00000001 00000003 ff".replace(" ", ""))  # padding bits set
 _SHORT_QUERY = encode_message(IHQuery(BitString(3, 5)))
 _PEER_ABORT = encode_message(AbortMsg(Reason.DIGEST_MISMATCH))
@@ -513,7 +516,7 @@ def _honest_peer_frames(role):
     if role in ("committer", "verifier"):
         out = runner.run_commit_session(COMMIT_PARAMS, seed=HOSTILE_SEED)
     else:
-        out = runner.run_ot_session(OT_PARAMS, seed=HOSTILE_SEED)
+        out = runner.run_ot_session(HOSTILE_OT, seed=HOSTILE_SEED)
     own = "A" if role in ("committer", "sender") else "B"
     return [frame for label, frame in out.transcript if label != own]
 
@@ -534,7 +537,7 @@ class TestHostilePeer:
     """One party against a peer that replays an honest session, then sends
     one bad frame at a chosen receive step."""
 
-    M = OT_PARAMS.m
+    M = HOSTILE_OT.m
     # Commit parties receive twice.  A transfer party receives m+1 times:
     # the sender m-1 IH responses, the e bit and the result; the receiver
     # the set A, m-1 IH queries and the payload.  The steps cover each
@@ -551,7 +554,7 @@ class TestHostilePeer:
     ]
 
     @staticmethod
-    def _drive(role, incoming, seed=HOSTILE_SEED, choice=None, ot_params=OT_PARAMS):
+    def _drive(role, incoming, seed=HOSTILE_SEED, choice=None, ot_params=HOSTILE_OT):
         """Run `role` against a peer that has sent `incoming` and closed;
         return the party's result and the messages it sent.  The party's
         inbox is unbounded, so the peer's frames all wait there before it
@@ -621,7 +624,7 @@ class TestHostilePeer:
     def test_stretched_unchosen_branch_ends_in_malformed(self, seed, choice, field):
         # A receiver that refused only a bad chosen branch would complete on
         # a bad unchosen one, and so tell the sender d and with it the choice.
-        out = runner.run_ot_session(OT_PARAMS, choice=choice, seed=seed)
+        out = runner.run_ot_session(HOSTILE_OT, choice=choice, seed=seed)
         honest = [frame for label, frame in out.transcript if label == "A"]
         e = next(m.e for m in (decode_message(f) for label, f in out.transcript if label == "B")
                  if isinstance(m, EBit))
@@ -691,7 +694,7 @@ class TestHostilePeer:
 
     def test_dependent_query_aborts_receiver(self):
         honest = _honest_peer_frames("receiver")
-        zero = encode_message(IHQuery(BitString.zeros(OT_PARAMS.m)))
+        zero = encode_message(IHQuery(BitString.zeros(HOSTILE_OT.m)))
         out, sent = self._run("receiver", honest[:1] + [zero])
         assert out["reason"] is Reason.DEPENDENT_QUERY
         assert sent == [AbortMsg(Reason.DEPENDENT_QUERY)]
@@ -748,7 +751,9 @@ class TestCLI:
         # the transfer's own ell default derives a stock code at the default noise
         import json
         assert cli.main(["ot", "--json"]) == cli.EXIT_OK
-        assert json.loads(capsys.readouterr().out)["completed"] is True
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["completed"] is True
+        assert doc["params"]["ih_slack"] == 40
 
     def test_readme_examples(self, capsys):
         # each `$ bsme ...` block of the README's command-line section prints

@@ -1,4 +1,5 @@
-"""A short run of the committed benchmark on the commitment workload.
+"""A short run of the committed benchmark on the commitment and transfer
+workloads; the benchmark checks each operation's frames itself.
 
 The benchmark is copied, without its results, next to a link to this
 checkout's ``src`` so that the run leaves ``bench/`` untouched.
@@ -10,15 +11,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_commit_bench_smoke(tmp_path):
+@pytest.mark.parametrize("workload", ["commit_n65536_socket", "ot_n4096_memory"])
+def test_bench_smoke(tmp_path, workload):
     shutil.copytree(ROOT / "bench", tmp_path / "bench",
                     ignore=shutil.ignore_patterns("results", "__pycache__"))
     (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "commit_n65536_socket",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0.5", "--trace", "0"],
         cwd=tmp_path, capture_output=True, text=True, timeout=170,
     )

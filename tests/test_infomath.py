@@ -7,7 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bsme.codes import LinearCode
+from bsme.harness import ih_theta_attack
 from bsme.infomath import (
+    EPS_PRIME,
+    IH_SLACK,
+    ZETA_IH,
     CommitParams,
     Distribution,
     ParameterError,
@@ -26,6 +30,7 @@ from bsme.infomath import (
     subset_size_for,
     zyablov_delta,
 )
+from bsme.subsets import DenseCode
 
 
 class TestScalars:
@@ -257,8 +262,8 @@ class TestDeriveOT:
         p = derive_ot_params(n=4096, ell=14, code=code, gamma=0.0, delta=0.01,
                              tau=0.02, m_f=Fraction(1, 7), eps_hat=0.25)
         assert p.k == 478
-        assert p.m == 2 * 14 * math.ceil(math.log2(478))
-        assert p.m == 252
+        assert p.m == math.ceil(math.log2(math.comb(478, 14))) + IH_SLACK
+        assert p.m == 128
         assert p.rate == Fraction(4, 7)
         assert p.payload_len == 2
         assert p.p_len == 6
@@ -337,3 +342,48 @@ class TestDeriveOT:
         with pytest.raises(ParameterError):
             derive_ot_params(n=4096, ell=14, code=LinearCode.hamming_7_4(),
                              **{name: math.nan})
+
+
+class TestIHLength:
+    """m = ceil(log2 C(k, ell)) + IH_SLACK: the encoding's length, not the
+    hashing target's density m - t, is what the slack sets."""
+
+    @staticmethod
+    def _grid():
+        for n in (128, 512, 1024, 4096, 16384, 65536):
+            for eps_hat in (0.25, 0.9):
+                for code, ells in ((LinearCode.trivial(1), range(4, 17)),
+                                   (LinearCode.hamming_7_4(), (7, 14, 28, 56))):
+                    for ell in ells:
+                        try:
+                            yield derive_ot_params(n=n, ell=ell, code=code, delta=0.0,
+                                                   xi=0.0, eps_hat=eps_hat)
+                        except ParameterError:
+                            continue
+
+    @pytest.mark.parametrize("m", [12, 14, 16])
+    def test_theta_bound_depends_on_m_minus_t_only(self, m):
+        rep = ih_theta_attack(m=m, t=m - 6, trials=10_000, seed=m)
+        assert rep.bound == 4 * 2.0**-6
+        assert rep.passed, (m, rep.rate)
+
+    def test_grid_invalid_fraction_and_target_gap(self):
+        derived = 0
+        for p in self._grid():
+            derived += 1
+            assert p.ih_slack == IH_SLACK
+            dc = DenseCode(p.k, p.ell, p.m)
+            assert dc.invalid_count / 2**p.m < 2.0**-IH_SLACK, p
+            tail = math.log2(1.0 / (EPS_PRIME + p.eps_dprime))
+            gap = math.ceil(ZETA_IH * tail)
+            # under m = 2*ell*ceil(log2 k), t = m - gap clamped at 0: the same gap
+            old_m = 2 * p.ell * math.ceil(math.log2(p.k))
+            assert p.m - p.t == gap == min(old_m, gap), p
+        assert derived >= 100
+
+    def test_toy_point_grows(self):
+        # ell=4, k=90: 2*ell*ceil(log2 k) = 56, ceil(log2 C(90, 4)) + 40 = 62
+        p = derive_ot_params(n=512, ell=4, code=LinearCode.trivial(1), delta=0.0,
+                             xi=0.0, eps_hat=0.9)
+        assert (p.k, p.m) == (90, 62)
+        assert 2 * p.ell * math.ceil(math.log2(p.k)) == 56

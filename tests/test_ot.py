@@ -11,7 +11,7 @@ from bsme.app import framing, runner
 from bsme.bits import BitString, IndexSet
 from bsme.codes import LinearCode
 from bsme.ihash import Respondent
-from bsme.infomath import derive_ot_params
+from bsme.infomath import IH_SLACK, derive_ot_params
 from bsme.ot import (EBit, IHQuery, IHResponse, OTReceiver, OTSender, SetA, SetupAbort,
                      TransferPayload)
 from bsme.reasons import Reason
@@ -37,10 +37,18 @@ class TestHonest:
         assert hits >= 10
 
     def test_round_count_matches_encoding_length(self):
-        assert PARAMS.m == 2 * PARAMS.ell * math.ceil(math.log2(PARAMS.k))
+        assert PARAMS.m == (math.comb(PARAMS.k, PARAMS.ell) - 1).bit_length() + IH_SLACK
         out = runner.run_ot_session(PARAMS, seed=3)
         queries = [f for _, f in out.transcript if f[0] == framing.TAGS[IHQuery]]
         assert len(queries) == PARAMS.m - 1
+
+    def test_c05_transfer_size(self):
+        # m = 128 at n=4096, ell=14: 2m+2 frames, counted from the transcript
+        c05 = derive_ot_params(n=4096, ell=14, code=LinearCode.hamming_7_4(), delta=0.01)
+        out = runner.run_ot_session(c05, seed=0)
+        assert out.reason is Reason.OK
+        assert len(out.transcript) == 2 * c05.m + 2 == 258
+        assert sum(len(frame) for _, frame in out.transcript) <= 5_100
 
     def test_noise_free_code(self):
         run = ot_session(CLEAN, 5, 1, noisy=False)

@@ -45,6 +45,30 @@ class TestRanking:
         with pytest.raises(ValueError):
             subset_unrank(-1, 6, 2)
 
+    def test_unrank_inverts_rank_exhaustive(self):
+        for k in range(13):
+            for ell in range(k + 1):
+                for s in itertools.combinations(range(k), ell):
+                    assert subset_unrank(subset_rank(s), k, ell) == s
+
+    @pytest.mark.parametrize("k,ell", [(478, 14), (15324, 28)])
+    def test_unrank_matches_descending_walk(self, k, ell):
+        # reference: walk c down from k-1, one binomial per step
+        def walk(r):
+            out, c = [], k - 1
+            for j in range(ell, 0, -1):
+                while comb(c, j) > r:
+                    c -= 1
+                out.append(c)
+                r -= comb(c, j)
+                c -= 1
+            return tuple(reversed(out))
+
+        rng = random.Random(k)
+        for _ in range(200):
+            r = rng.randrange(comb(k, ell))
+            assert subset_unrank(r, k, ell) == walk(r)
+
     def test_unrank_edge_sizes(self):
         assert subset_unrank(0, 5, 0) == ()
         assert subset_unrank(0, 5, 5) == (0, 1, 2, 3, 4)
