@@ -104,6 +104,14 @@ def socketpair_channels() -> tuple[StreamChannel, StreamChannel]:
     return StreamChannel(sa), StreamChannel(sb)
 
 
+def _tcp_channel(sock: socket.socket) -> StreamChannel:
+    """A TCP endpoint that sends each frame at once.  With Nagle's algorithm
+    a party that writes two small frames and then waits holds the second
+    until the peer's delayed ACK, about 40 ms per such flight."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return StreamChannel(sock)
+
+
 def listen_channel(host: str, port: int) -> StreamChannel:
     """Accept exactly one peer connection."""
     srv = socket.create_server((host, port))
@@ -111,9 +119,8 @@ def listen_channel(host: str, port: int) -> StreamChannel:
         conn, _addr = srv.accept()
     finally:
         srv.close()
-    return StreamChannel(conn)
+    return _tcp_channel(conn)
 
 
 def connect_channel(host: str, port: int) -> StreamChannel:
-    sock = socket.create_connection((host, port), timeout=RECV_TIMEOUT)
-    return StreamChannel(sock)
+    return _tcp_channel(socket.create_connection((host, port), timeout=RECV_TIMEOUT))

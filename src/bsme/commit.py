@@ -136,7 +136,7 @@ class Verifier:
     def choose_hash(self) -> BitString:
         """Draw the binding hash g; its Toeplitz diagonal is what is sent."""
         p = self.params
-        self.hash = ToeplitzHash.random(p.k, p.digest_len, self._rng)
+        self.hash = ToeplitzHash(p.k, p.digest_len, random_seed(p.k, p.digest_len, self._rng))
         return self.hash.diag
 
     def receive_commitment(self, msg: CommitMessage) -> None:

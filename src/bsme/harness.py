@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .bits import BitString, IndexSet
 from .codes import LinearCode, fuzzy_ext
 from .gf2 import low_weight
-from .hashing import ToeplitzHash, seed_length, strong_extract
+from .hashing import ToeplitzHash, random_seed, seed_length, strong_extract
 from .infomath import (
     Distribution,
     binary_entropy,
@@ -153,7 +153,7 @@ def binding_attack(
     radius = floor_tol(sigma * k)
     successes = 0
     for _ in range(trials):
-        g = ToeplitzHash.random(k, digest_len, rng)
+        g = ToeplitzHash(k, digest_len, random_seed(k, digest_len, rng))
         center = rng.getrandbits(k)
         seen: dict[int, int] = {}
         collided = False

@@ -34,17 +34,13 @@ class ToeplitzHash:
     def __init__(self, in_len: int, out_len: int, diag: BitString):
         if in_len < 1 or out_len < 1:
             raise ValueError("in_len and out_len must be positive")
-        if diag.length != in_len + out_len - 1:
+        if diag.length != seed_length(in_len, out_len):
             raise ValueError("diagonal must have in_len + out_len - 1 bits")
         self.in_len = in_len
         self.out_len = out_len
         self.diag = diag
         # The display string puts bit 0 first, so it reads as the reversal.
         self._rev = int(diag.to_str(), 2)
-
-    @classmethod
-    def random(cls, in_len: int, out_len: int, rng: random.Random) -> "ToeplitzHash":
-        return cls(in_len, out_len, BitString.random(in_len + out_len - 1, rng))
 
     def __call__(self, x: BitString) -> BitString:
         if x.length != self.in_len:

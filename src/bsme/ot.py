@@ -32,8 +32,7 @@ from .reasons import Reason, ResultMsg, SetupAbort
 from .source import SourcePair, sample_positions
 from .subsets import DenseCode
 
-__all__ = ["SetA", "IHQuery", "IHResponse", "EBit", "TransferPayload", "SetupAbort",
-           "OTSender", "OTReceiver"]
+__all__ = ["SetA", "IHQuery", "IHResponse", "EBit", "TransferPayload", "OTSender", "OTReceiver"]
 
 
 @dataclass(frozen=True)

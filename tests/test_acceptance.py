@@ -36,11 +36,11 @@ from bsme.infomath import (
     ot_gv_delta_threshold,
     zyablov_delta,
 )
-from bsme.ot import EBit, SetA, SetupAbort
+from bsme.ot import EBit, SetA
 from bsme.subsets import DenseCode, subset_rank
 from bsme.app import framing, runner
 from bsme.app.framing import AbortMsg, encode_message
-from bsme.reasons import Reason
+from bsme.reasons import Reason, SetupAbort
 
 COMMIT_PARAMS = derive_commit_params(n=4096, ell=16, alpha=1.0, gamma=0.25,
                                      delta=0.02, zeta=0.05)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 import shlex
 import socket
@@ -326,7 +327,68 @@ OT_PARAMS = derive_ot_params(n=1024, ell=14, code=LinearCode.hamming_7_4(),
                              delta=0.0)
 
 
+def _tcp_ends() -> tuple[channel.StreamChannel, channel.StreamChannel]:
+    """The two ends of one loopback connection made by `listen_channel` and
+    `connect_channel`: the listening end first."""
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        port = probe.getsockname()[1]
+    listened = []
+    listener = threading.Thread(
+        target=lambda: listened.append(channel.listen_channel("127.0.0.1", port)), daemon=True)
+    listener.start()
+    for _ in range(100):
+        try:
+            dialled = channel.connect_channel("127.0.0.1", port)
+            break
+        except ConnectionRefusedError:
+            time.sleep(0.05)
+    else:
+        raise ConnectionRefusedError(f"nothing listens on port {port}")
+    listener.join(30)
+    return listened[0], dialled
+
+
+def _play_ends(play, ends: dict) -> dict:
+    """Run `play(role, chan)` for every role in its own thread, close each
+    channel after its party, and return the results by role."""
+    results = {}
+
+    def run(role):
+        try:
+            results[role] = play(role, ends[role])
+        finally:
+            ends[role].close()
+
+    threads = [threading.Thread(target=run, args=(role,), daemon=True) for role in ends]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def _flights(transcript) -> int:
+    """Runs of frames with one sender label: each is a wait for the peer, so
+    a session over a link takes at least flights / 2 round trips."""
+    return sum(1 for _ in itertools.groupby(label for label, _ in transcript))
+
+
 class TestRunner:
+    def test_round_trips_pinned(self):
+        # A transfer is m-1 interactive-hashing rounds of two flights each
+        # (the set A rides with the first query, the e bit with the last
+        # response), then the payload and the result.  A commit is the hash,
+        # the commitment with its opening, and the result.
+        c05 = derive_ot_params(n=4096, ell=14, code=LinearCode.hamming_7_4(), delta=0.01)
+        transfer = runner.run_ot_session(c05, seed=42)
+        assert transfer.reason is Reason.OK and c05.m == 128
+        assert _flights(transfer.transcript) == 2 * (c05.m - 1) + 2 == 256
+        c01 = derive_commit_params(n=4096, ell=16, alpha=1.0, gamma=0.25, delta=0.02, zeta=0.05)
+        commit = runner.run_commit_session(c01, seed=42)
+        assert commit.reason is Reason.OK
+        assert _flights(commit.transcript) == 3
+
     def test_commit_session_accepts(self):
         out = runner.run_commit_session(COMMIT_PARAMS, seed=1)
         assert out.accepted and out.reason is Reason.OK
@@ -410,91 +472,64 @@ class TestRunner:
 
     def test_cross_host_parties_agree(self):
         # drive commit_party on both ends of one socket pair
-        lhs, rhs = socket.socketpair()
-        results = {}
-
-        def run(role, sock):
-            chan = channel.StreamChannel(sock)
-            try:
-                results[role] = runner.commit_party(
-                    role, chan, COMMIT_PARAMS, seed=9,
-                    value=BitString(COMMIT_PARAMS.m, 1) if role == "committer" else None,
-                )
-            finally:
-                chan.close()
-
-        t1 = threading.Thread(target=run, args=("committer", lhs))
-        t2 = threading.Thread(target=run, args=("verifier", rhs))
-        t1.start(); t2.start()
-        t1.join(30); t2.join(30)
+        results = _play_ends(
+            lambda role, chan: runner.commit_party(
+                role, chan, COMMIT_PARAMS, seed=9,
+                value=BitString(COMMIT_PARAMS.m, 1) if role == "committer" else None),
+            dict(zip(("committer", "verifier"), channel.socketpair_channels())),
+        )
         assert results["verifier"]["reason"] is Reason.OK
         assert results["verifier"]["opened"] == BitString(COMMIT_PARAMS.m, 1)
 
     def test_tcp_parties_match_in_process(self):
-        # listen_channel and connect_channel over a real loopback port
-        with socket.create_server(("127.0.0.1", 0)) as probe:
-            port = probe.getsockname()[1]
-        results = {}
-
-        def dial():
-            for _ in range(100):
-                try:
-                    return channel.connect_channel("127.0.0.1", port)
-                except ConnectionRefusedError:
-                    time.sleep(0.05)
-            raise ConnectionRefusedError(f"nothing listens on port {port}")
-
-        def run(role, open_channel):
-            chan = open_channel()
-            try:
-                results[role] = runner.commit_party(role, chan, COMMIT_PARAMS, seed=9)
-            finally:
-                chan.close()
-
-        threads = [
-            threading.Thread(target=run, daemon=True, args=(
-                "verifier", lambda: channel.listen_channel("127.0.0.1", port))),
-            threading.Thread(target=run, daemon=True, args=("committer", dial)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
-        assert not any(t.is_alive() for t in threads)
+        verifier, committer = _tcp_ends()
+        results = _play_ends(
+            lambda role, chan: runner.commit_party(role, chan, COMMIT_PARAMS, seed=9),
+            {"verifier": verifier, "committer": committer},
+        )
         ref = runner.run_commit_session(COMMIT_PARAMS, seed=9)
         assert ref.reason is Reason.OK
         assert results["committer"]["reason"] is results["verifier"]["reason"] is ref.reason
         assert results["committer"]["value"] == ref.value
         assert results["verifier"]["opened"] == ref.opened == ref.value
 
+    def test_tcp_ends_send_without_delay(self):
+        # Nagle's algorithm would hold a party's second small frame until the
+        # peer's delayed ACK, about 40 ms per transfer.
+        ends = _tcp_ends()
+        try:
+            for chan in ends:
+                assert chan._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            for chan in ends:
+                chan.close()
+
+    def test_tcp_transfer_matches_in_process(self):
+        self._transfer_matches_in_process(*_tcp_ends())
+
     def test_cross_host_ot_matches_in_process(self):
+        self._transfer_matches_in_process(*channel.socketpair_channels())
+
+    @staticmethod
+    def _transfer_matches_in_process(sender, receiver):
         # Both halves derive the same default secrets as the in-process run
         # when only the choice is given.
-        chans = dict(zip(("sender", "receiver"), channel.socketpair_channels()))
+        ends = {"sender": sender, "receiver": receiver}
         transcript, lock = [], threading.Lock()
-        for label, chan in zip("AB", chans.values()):
+        for label, chan in zip("AB", ends.values()):
             def send(frame, label=label, send=chan.send):
                 with lock:
                     transcript.append((label, frame))
                 send(frame)
             chan.send = send
-        results = {}
-
-        def run(role):
-            try:
-                results[role] = runner.ot_party(
-                    role, chans[role], OT_PARAMS, seed=3,
-                    choice=1 if role == "receiver" else None,
-                )
-            finally:
-                chans[role].close()
-
-        threads = [threading.Thread(target=run, args=(role,)) for role in chans]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30)
+        results = _play_ends(
+            lambda role, chan: runner.ot_party(
+                role, chan, OT_PARAMS, seed=3, choice=1 if role == "receiver" else None),
+            ends,
+        )
         ref = runner.run_ot_session(OT_PARAMS, choice=1, seed=3)
+        assert ref.reason is Reason.OK
+        assert results["sender"]["reason"] is results["receiver"]["reason"] is ref.reason
         assert results["sender"]["secrets"] == ref.secrets
         assert results["receiver"]["output"] == ref.output
         assert results["receiver"]["choice"] == 1
@@ -618,9 +653,13 @@ class TestHostilePeer:
         else:
             assert sent[-1] == AbortMsg(Reason.MALFORMED_MESSAGE)
 
+    # The receiver's subset index d at each seed, for either choice: one seed
+    # leaves branch 1 unchosen, the other branch 0.
+    D_AT_SEED = {HOSTILE_SEED: 0, 17: 1}
+
     @pytest.mark.parametrize("field", ["z", "r", "p"])
     @pytest.mark.parametrize("choice", [0, 1])
-    @pytest.mark.parametrize("seed", [HOSTILE_SEED, 15])  # d = 1 and d = 0
+    @pytest.mark.parametrize("seed", D_AT_SEED)
     def test_stretched_unchosen_branch_ends_in_malformed(self, seed, choice, field):
         # A receiver that refused only a bad chosen branch would complete on
         # a bad unchosen one, and so tell the sender d and with it the choice.
@@ -628,7 +667,9 @@ class TestHostilePeer:
         honest = [frame for label, frame in out.transcript if label == "A"]
         e = next(m.e for m in (decode_message(f) for label, f in out.transcript if label == "B")
                  if isinstance(m, EBit))
-        name = f"{field}{1 - (choice ^ e)}"
+        d = choice ^ e
+        assert d == self.D_AT_SEED[seed]
+        name = f"{field}{1 - d}"
         payload = decode_message(honest[self.M])
         f = getattr(payload, name)
         stretched = dataclasses.replace(payload, **{name: BitString(f.length + 1, f.to_int())})

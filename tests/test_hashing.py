@@ -49,7 +49,7 @@ class TestToeplitz:
     @given(st.integers(1, 70), st.integers(1, 20), st.integers(0, 2**32))
     def test_linearity(self, in_len, out_len, seed):
         rng = random.Random(seed)
-        h = ToeplitzHash.random(in_len, out_len, rng)
+        h = ToeplitzHash(in_len, out_len, random_seed(in_len, out_len, rng))
         x = BitString.random(in_len, rng)
         y = BitString.random(in_len, rng)
         assert h(x ^ y) == h(x) ^ h(y)
@@ -63,7 +63,7 @@ class TestToeplitz:
         # k=2,048 sampled bits hashed to 1,499, as in the n=65,536 commitment;
         # the digests were taken from the row-by-row matrix product.
         rng = random.Random(seed)
-        h = ToeplitzHash.random(2048, 1499, rng)
+        h = ToeplitzHash(2048, 1499, random_seed(2048, 1499, rng))
         out = h(BitString.random(2048, rng))
         assert out.length == 1499
         assert hashlib.sha256(out.to_bytes()).hexdigest() == digest

@@ -9,7 +9,9 @@ protocol math (`hashing`, `gf2`, `ihash`, `subsets`), and no module outside
 it imports `app` or any module in it.  Outside `app/framing.py`, only
 `app/runner.py` names `encode_message` or `decode_message`.  The protocol
 modules (`commit`, `ot`, `ihash`) define no exception class, so every
-refusal is a `SetupAbort`.  There is no linter in the toolchain, so this
+refusal is a `SetupAbort`.  Each module's `__all__` lists only names it
+defines, and the package root re-exports only names that the benchmark or
+the tests import from `bsme`.  There is no linter in the toolchain, so this
 walks each module's syntax tree.  Package `__init__` files are skipped by
 the import check, since importing to re-export is their job.
 """
@@ -317,3 +319,71 @@ def test_checker_sees_dead_and_live_public_names():
     trees = {"lib.py": lib, "user.py": user, "__init__.py": init}
     dead = {entry.split()[-1] for entry in dead_public_names(trees, {"by_outside", "run"})}
     assert dead == {"reexported", "recursive", "SelfTyped", "exported_only"}
+
+
+# One home per name: a module exports what it defines, and the package root
+# re-exports only what the repository imports from `bsme` itself.
+def exported_names(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if is_all_assignment(node):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Module-level functions, classes and assigned names."""
+    found = set(public_definitions(tree))
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            found.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return found
+
+
+def root_imports(trees: list[ast.Module]) -> set[str]:
+    """Names imported by `from bsme import ...`."""
+    return {
+        alias.name for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "bsme" and not node.level
+        for alias in node.names
+    }
+
+
+def foreign_exports(trees: dict[str, ast.Module]) -> list[str]:
+    """Names a module other than a package `__init__` lists in `__all__`
+    without defining them."""
+    return sorted(
+        f"{where} {name}"
+        for where, tree in trees.items() if Path(where).name != "__init__.py"
+        for name in set(exported_names(tree)) - defined_names(tree)
+    )
+
+
+def test_root_reexports_only_what_is_imported_from_it():
+    root = exported_names(package_trees()["__init__.py"])
+    users = [ast.parse(p.read_text(encoding="utf-8"))
+             for d in ("bench", "tests") for p in sorted((ROOT / d).rglob("*.py"))]
+    unused = set(root) - {"__version__"} - root_imports(users)
+    assert not unused, f"bsme re-exports names nothing imports from it: {sorted(unused)}"
+
+
+def test_modules_export_only_their_own_names():
+    foreign = foreign_exports(package_trees())
+    assert not foreign, f"__all__ lists names defined elsewhere: {foreign}"
+
+
+def test_checker_sees_root_imports_and_foreign_exports():
+    users = [ast.parse("from bsme import A, B as C\nfrom bsme.x import D\nfrom . import E\n"
+                       "import bsme\n")]
+    assert root_imports(users) == {"A", "B"}
+    lib = ast.parse(
+        "from .other import Borrowed\n"
+        "def f():\n    pass\n"
+        "class K:\n    pass\n"
+        "LIMIT = 3\nA, B = 1, 2\nTYPED: int = 4\n"
+        "__all__ = ['f', 'K', 'LIMIT', 'B', 'TYPED', 'Borrowed', 'missing']\n"
+    )
+    init = ast.parse("from .lib import f\n__all__ = ['f']\n")
+    assert foreign_exports({"lib.py": lib, "__init__.py": init}) == [
+        "lib.py Borrowed", "lib.py missing"]

@@ -12,9 +12,8 @@ from bsme.bits import BitString, IndexSet
 from bsme.codes import LinearCode
 from bsme.ihash import Respondent
 from bsme.infomath import IH_SLACK, derive_ot_params
-from bsme.ot import (EBit, IHQuery, IHResponse, OTReceiver, OTSender, SetA, SetupAbort,
-                     TransferPayload)
-from bsme.reasons import Reason
+from bsme.ot import EBit, IHQuery, IHResponse, OTReceiver, OTSender, SetA, TransferPayload
+from bsme.reasons import Reason, SetupAbort
 from bsme.source import SourceConfig, generate
 
 PARAMS = derive_ot_params(n=1024, ell=14, code=LinearCode.hamming_7_4(),
